@@ -37,12 +37,13 @@ pub fn aggregate_probabilities_with(
 /// [`aggregate_probabilities_with`] under an explicit [`KernelPolicy`].
 ///
 /// The scalar path looks both cluster tables up per `(i, j)` pair; the
-/// blocked/SIMD paths hoist the table lookups out of the row loop
-/// (`2·n` lookups instead of `2·k₀·n`) and gather the score sums into a
-/// scratch row before exponentiating. Bitwise identical: the `exp`
-/// closure is invoked in exactly the scalar order (ascending `j` within
-/// ascending `i` — it may be stateful), each sum is the same two-term
-/// f32 addition, and the `AP` scatter accumulates in the same order.
+/// SIMD path hoists the table lookups out of the row loop (`2·n`
+/// lookups instead of `2·k₀·n`) and gathers the score sums into a
+/// scratch row, 8 independent elements per chunk, before
+/// exponentiating. Bitwise identical: the `exp` closure is invoked in
+/// exactly the scalar order (ascending `j` within ascending `i` — it
+/// may be stateful), each sum is the same two-term f32 addition, and
+/// the `AP` scatter accumulates in the same order.
 ///
 /// # Panics
 ///
@@ -82,31 +83,25 @@ pub fn aggregate_probabilities_kernel(
                 }
             }
         }
-        KernelPolicy::Blocked | KernelPolicy::Simd => {
+        KernelPolicy::Simd => {
             let x1s: Vec<usize> = (0..n).map(|j| ct1.cluster_of(j)).collect();
             let x2s: Vec<usize> = (0..n).map(|j| k1 + ct2.cluster_of(j)).collect();
             let mut sums = vec![0.0f32; n];
             for i in 0..k0 {
                 let cs_row = scores_bar.row(i);
-                if policy == KernelPolicy::Simd {
-                    // Gather in 8-wide chunks of independent elements.
-                    let mut sc = sums.chunks_exact_mut(8);
-                    let mut c1 = x1s.chunks_exact(8);
-                    let mut c2 = x2s.chunks_exact(8);
-                    for ((s8, i8), j8) in (&mut sc).zip(&mut c1).zip(&mut c2) {
-                        for l in 0..8 {
-                            s8[l] = cs_row[i8[l]] + cs_row[j8[l]];
-                        }
+                // Gather in 8-wide chunks of independent elements.
+                let mut sc = sums.chunks_exact_mut(8);
+                let mut c1 = x1s.chunks_exact(8);
+                let mut c2 = x2s.chunks_exact(8);
+                for ((s8, i8), j8) in (&mut sc).zip(&mut c1).zip(&mut c2) {
+                    for l in 0..8 {
+                        s8[l] = cs_row[i8[l]] + cs_row[j8[l]];
                     }
-                    for ((s, &x1), &x2) in
-                        sc.into_remainder().iter_mut().zip(c1.remainder()).zip(c2.remainder())
-                    {
-                        *s = cs_row[x1] + cs_row[x2];
-                    }
-                } else {
-                    for ((s, &x1), &x2) in sums.iter_mut().zip(&x1s).zip(&x2s) {
-                        *s = cs_row[x1] + cs_row[x2];
-                    }
+                }
+                for ((s, &x1), &x2) in
+                    sc.into_remainder().iter_mut().zip(c1.remainder()).zip(c2.remainder())
+                {
+                    *s = cs_row[x1] + cs_row[x2];
                 }
                 let ap_row = ap.row_mut(i);
                 for j in 0..n {
@@ -247,29 +242,34 @@ mod tests {
 
     #[test]
     fn aggregation_policies_are_bitwise_identical_with_stateful_exp() {
-        let (k0, k1, k2, n) = (4usize, 5usize, 3usize, 37usize);
-        let mut rng = MatrixRng::new(17);
-        let s_bar = rng.normal_matrix(k0, k1 + k2, 0.0, 1.0);
-        let (ct1, ct2) = tables(n, k1, k2, 18);
-        // A stateful exponent: the result depends on the call sequence,
-        // so any reordering of exp calls would show up as a diff.
-        let run = |policy| {
-            let mut calls = 0u32;
-            aggregate_probabilities_kernel(
-                &s_bar,
-                &ct1,
-                &ct2,
-                k1,
-                |x| {
-                    calls = calls.wrapping_add(1);
-                    x.exp() + calls as f32 * 1e-3
-                },
-                policy,
-            )
-        };
-        let scalar = run(cta_tensor::KernelPolicy::Scalar);
-        for policy in [cta_tensor::KernelPolicy::Blocked, cta_tensor::KernelPolicy::Simd] {
-            assert_eq!(run(policy), scalar, "{policy:?}");
+        // A lane-tail shape, then the paper's SQuAD shape (k₀ = k₁ = 96,
+        // k₂ = 24, n = 384).
+        for (k0, k1, k2, n) in [(4usize, 5usize, 3usize, 37usize), (96, 96, 24, 384)] {
+            let mut rng = MatrixRng::new(17);
+            let s_bar = rng.normal_matrix(k0, k1 + k2, 0.0, 1.0);
+            let (ct1, ct2) = tables(n, k1, k2, 18);
+            // A stateful exponent: the result depends on the call
+            // sequence, so any reordering of exp calls would show up as
+            // a diff.
+            let run = |policy| {
+                let mut calls = 0u32;
+                aggregate_probabilities_kernel(
+                    &s_bar,
+                    &ct1,
+                    &ct2,
+                    k1,
+                    |x| {
+                        calls = calls.wrapping_add(1);
+                        x.exp() + calls as f32 * 1e-3
+                    },
+                    policy,
+                )
+            };
+            assert_eq!(
+                run(KernelPolicy::Simd),
+                run(KernelPolicy::Scalar),
+                "k0={k0} k1={k1} k2={k2} n={n}"
+            );
         }
     }
 

@@ -14,7 +14,6 @@
 use std::process::ExitCode;
 
 use cta_parallel::Parallelism;
-use cta_tensor::KernelPolicy;
 
 /// Parses one value for `flag`, reporting the flag name and expected
 /// `kind` ("an integer", "a number", …) on failure.
@@ -64,23 +63,20 @@ impl FlagParser {
     }
 }
 
-/// Parses an invocation whose recognised flags are `--jobs N` and
-/// `--kernels P` — the figure benchmarks' CLI. `--jobs` defaults to
-/// [`Parallelism::from_env`] (`CTA_JOBS`, then available cores); a parsed
-/// `--kernels` is installed process-wide via [`KernelPolicy::install`]
-/// (otherwise the lazy `CTA_KERNELS`/auto default applies).
+/// Parses an invocation whose only recognised flag is `--jobs N` — the
+/// figure benchmarks' CLI. `--jobs` defaults to [`Parallelism::from_env`]
+/// (`CTA_JOBS`, then available cores).
 ///
 /// # Errors
 ///
-/// Returns an error for an unknown flag, a missing value, a non-positive
-/// `--jobs`, or a `--kernels` value other than `scalar|blocked|simd`.
+/// Returns an error for an unknown flag, a missing value, or a
+/// non-positive `--jobs`.
 pub fn parse_jobs_only(argv: impl IntoIterator<Item = String>) -> Result<Parallelism, String> {
     let mut p = FlagParser::new(argv);
     let mut jobs = Parallelism::from_env();
     while let Some(flag) = p.next_flag() {
         match flag.as_str() {
             "--jobs" => jobs = Parallelism::parse_arg(&p.value("--jobs")?)?,
-            "--kernels" => KernelPolicy::parse_arg(&p.value("--kernels")?)?.install(),
             other => return Err(format!("unknown flag {other:?}")),
         }
     }
@@ -138,16 +134,5 @@ mod tests {
         assert!(parse_jobs_only(words(&["--jobs", "0"])).unwrap_err().contains("positive"));
         assert!(parse_jobs_only(words(&["--frob"])).unwrap_err().contains("unknown flag"));
         assert!(parse_jobs_only(words(&[])).unwrap().get() >= 1);
-    }
-
-    #[test]
-    fn jobs_only_vets_kernels_values() {
-        // Malformed --kernels must error (never install); a valid one
-        // installs process-wide, which is benign here because every
-        // policy is pinned bitwise-identical.
-        let err = parse_jobs_only(words(&["--kernels", "turbo"])).unwrap_err();
-        assert!(err.contains("--kernels takes scalar|blocked|simd"), "{err}");
-        assert!(parse_jobs_only(words(&["--kernels"])).unwrap_err().contains("needs a value"));
-        assert!(parse_jobs_only(words(&["--kernels", "simd", "--jobs", "2"])).is_ok());
     }
 }

@@ -20,12 +20,12 @@
 //! | `ablation_*` | design-choice ablations (DESIGN.md §5) |
 
 pub mod cli;
+mod json;
 mod report;
-mod sidecar;
 
 pub use cli::{cli_main, parse_jobs_only, parse_list, parse_num, FlagParser};
+pub use json::parse_json;
 pub use report::{CsvTable, JsonReport, JsonValue, SCHEMA_VERSION};
-pub use sidecar::{parse_json, BenchSidecar};
 
 use cta_sim::{AttentionTask, CtaAccelerator, HwConfig, SimReport};
 use cta_workloads::{find_operating_point, CtaClass, OperatingPoint, TestCase};

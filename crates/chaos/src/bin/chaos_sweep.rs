@@ -19,9 +19,10 @@
 //! **Outputs.** `results/chaos_sweep.{csv,json}` are deterministic for a
 //! fixed flag set at any `--jobs` value, and the CSV carries no
 //! engine-dependent column — CI diffs the `--engine step` and
-//! `--engine event` runs byte-for-byte. Wall-clock seeds/second goes to
-//! `results/BENCH_chaos.json`. On an invariant violation the minimized
-//! scenario is written to `--repro-out` (replay it with `--replay`).
+//! `--engine event` runs byte-for-byte. On an invariant violation the
+//! minimized scenario is written to `--repro-out` (replay it with
+//! `--replay`). Wall-clock seeds/second is measured by the repository
+//! benchmark (`perfbench`'s `chaos` workload), not here.
 //!
 //! `--inject-bug` is the self-test of the net: every run's report is
 //! corrupted post-hoc ([`cta_chaos::Mutation::DropShed`]) and the sweep
@@ -31,7 +32,7 @@
 use std::process::ExitCode;
 use std::sync::Mutex;
 
-use cta_bench::{parse_num, BenchSidecar, FlagParser, JsonValue, SCHEMA_VERSION};
+use cta_bench::{parse_num, FlagParser, JsonValue, SCHEMA_VERSION};
 use cta_chaos::{
     run_chaos, shrink, ChaosParams, ChaosScenario, EngineChoice, Mutation, Toggle, Violation,
 };
@@ -308,11 +309,8 @@ fn run(h: &Harness<Args>) {
 
     let seeds: Vec<u64> = (0..args.seeds as u64).map(|i| args.seed0 + i).collect();
 
-    // Failing scenarios and wall-clock measurements, collected
-    // out-of-band so the pinned CSV/JSON stay deterministic.
+    // Failing scenarios, collected out-of-band for the shrinker.
     let failures: Mutex<Vec<(u64, ChaosScenario, Vec<Violation>)>> = Mutex::new(Vec::new());
-    let events_total = Mutex::new(0u64);
-    let start = std::time::Instant::now();
 
     h.run_grid(
         &format!(
@@ -327,7 +325,6 @@ fn run(h: &Harness<Args>) {
         |&seed| {
             let sc = ChaosScenario::sample(seed, &args.params);
             let outcome = run_chaos(&sc, args.engine, mutation);
-            *events_total.lock().expect("events") += outcome.events_processed;
             if !outcome.ok() {
                 failures.lock().expect("failures").push((
                     seed,
@@ -398,27 +395,6 @@ fn run(h: &Harness<Args>) {
         },
     );
 
-    // Wall-clock throughput sidecar: nondeterministic, so it lives in
-    // its own BENCH_ report instead of the pinned files.
-    let wall_s = start.elapsed().as_secs_f64();
-    let events = events_total.into_inner().expect("events");
-    let mut bench = BenchSidecar::new("BENCH_chaos");
-    bench
-        .set("experiment", JsonValue::Str("chaos_sweep".into()))
-        .set("engine", JsonValue::Str(args.engine.label().into()))
-        .set("seeds", JsonValue::Int(args.seeds as i64))
-        .set("jobs", JsonValue::Int(h.jobs().get() as i64))
-        .set("wall_s", JsonValue::Num(wall_s))
-        .set("seeds_per_sec", JsonValue::Num(args.seeds as f64 / wall_s.max(1e-12)))
-        .set("events", JsonValue::Int(events as i64))
-        .set(
-            "note",
-            JsonValue::Str(
-                "wall-clock throughput; nondeterministic, --jobs 1 for uncontended".into(),
-            ),
-        );
-    bench.save();
-
     let mut failing = failures.into_inner().expect("failures");
     failing.sort_unstable_by_key(|&(seed, _, _)| seed);
 
@@ -477,12 +453,7 @@ fn run(h: &Harness<Args>) {
         std::process::exit(1);
     }
 
-    println!(
-        "all {} seeds passed every invariant ({} simulated events, {:.1} seeds/s)",
-        args.seeds,
-        events,
-        args.seeds as f64 / wall_s.max(1e-12)
-    );
+    println!("all {} seeds passed every invariant", args.seeds);
 
     // --trace: rerun the last seed's scenario traced (step engine; trace
     // bytes are engine-independent anyway).

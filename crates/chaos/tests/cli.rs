@@ -79,7 +79,7 @@ fn small_run_writes_the_result_files_and_passes() {
     assert!(out.status.success(), "stderr: {}", String::from_utf8_lossy(&out.stderr));
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(stdout.contains("all 6 seeds passed"), "stdout: {stdout}");
-    for file in ["chaos_sweep.csv", "chaos_sweep.json", "BENCH_chaos.json"] {
+    for file in ["chaos_sweep.csv", "chaos_sweep.json"] {
         assert!(dir.join("results").join(file).is_file(), "missing results/{file}");
     }
 }

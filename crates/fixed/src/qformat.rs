@@ -118,7 +118,7 @@ impl QFormat {
 /// rounding to nearest and saturating.
 ///
 /// This is the **authoritative write-back rounding rule** for every
-/// kernel variant (scalar, blocked, SIMD): round to nearest, ties
+/// kernel path (scalar and SIMD): round to nearest, ties
 /// **away from zero** — the same rule `QFormat::quantize` applies via
 /// f64 `round()`. The negative branch spells it as
 /// `-((-raw + half) >> shift)` because an arithmetic right shift on a

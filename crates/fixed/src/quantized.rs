@@ -3,12 +3,12 @@
 //! The products dispatch on [`KernelPolicy`] like the f32 kernels in
 //! `cta-tensor`. Integer accumulation is *exact* — reassociating or
 //! re-tiling a sum of products cannot change a single bit as long as no
-//! intermediate overflows — so the blocked and SIMD variants here are
-//! bitwise identical to the scalar loops by construction: the blocked
-//! path packs `Bᵀ` for contiguous i128 dots, and the SIMD path runs
-//! 4-wide i64 lane accumulators behind an explicit bit-budget guard
-//! (`(bits_a - 1) + (bits_b - 1) + ceil_log2(K) <= 62`) that falls back
-//! to the i128 path whenever a lane could overflow.
+//! intermediate overflows — so the SIMD path here is bitwise identical
+//! to the scalar loops by construction: it runs 4-wide i64 lane
+//! accumulators behind an explicit bit-budget guard
+//! (`(bits_a - 1) + (bits_b - 1) + ceil_log2(K) <= 62`), and falls back
+//! to contiguous i128 dots over packed operands whenever a lane could
+//! overflow. The guard reads only the operand formats and `K`.
 
 use cta_tensor::{KernelPolicy, Matrix};
 
@@ -61,7 +61,7 @@ fn dot_i32_lanes(a: &[i32], b: &[i32]) -> i128 {
 }
 
 /// Packs the `k×n` row-major raw words into an `n×k` transpose so every
-/// dot product in the blocked matmul streams both operands contiguously.
+/// dot product in the i128 fallback streams both operands contiguously.
 fn pack_transpose_i64(raw: &[i64], k: usize, n: usize) -> Vec<i64> {
     let mut packed = vec![0i64; n * k];
     for p in 0..k {
@@ -74,8 +74,7 @@ fn pack_transpose_i64(raw: &[i64], k: usize, n: usize) -> Vec<i64> {
 
 /// Element-wise saturating `a + b` (or `a - b`), policy-dispatched.
 /// Saturation clamps per element, so chunking cannot change a bit; the
-/// blocked spelling is the scalar one (a streaming op has nothing to
-/// tile), and the SIMD spelling runs 8 independent elements per chunk.
+/// SIMD spelling runs 8 independent elements per chunk.
 fn saturating_zip(
     policy: KernelPolicy,
     a: &[i64],
@@ -85,7 +84,7 @@ fn saturating_zip(
 ) -> Vec<i64> {
     let sign = if negate_b { -1i64 } else { 1i64 };
     match policy {
-        KernelPolicy::Scalar | KernelPolicy::Blocked => {
+        KernelPolicy::Scalar => {
             a.iter().zip(b).map(|(&x, &y)| format.saturating_add(x, sign * y)).collect()
         }
         KernelPolicy::Simd => {
@@ -201,13 +200,13 @@ impl QuantizedMatrix {
         )
     }
 
-    /// Integer matrix product, requantised into `out_format`, under the
-    /// process-wide [`KernelPolicy`].
+    /// Integer matrix product, requantised into `out_format`, on the
+    /// SIMD path ([`KernelPolicy::current`]).
     ///
     /// Accumulation is exact (i128 partial sums with
     /// `self.frac + other.frac` fractional bits); only the final write-back
     /// rounds and saturates, which matches a systolic array with wide
-    /// accumulators in each PE. All policies are bitwise identical.
+    /// accumulators in each PE. Both policies are bitwise identical.
     ///
     /// # Panics
     ///
@@ -218,12 +217,11 @@ impl QuantizedMatrix {
 
     /// [`QuantizedMatrix::matmul`] under an explicit [`KernelPolicy`].
     ///
-    /// The scalar reference walks `other` column-strided; the blocked
-    /// variant packs `Bᵀ` once and runs contiguous i128 dots; the SIMD
-    /// variant additionally narrows the packed words to i32 and
-    /// accumulates in four i64 lanes when the formats' bit budget
-    /// guarantees a lane cannot overflow (falling back to the i128 path
-    /// otherwise).
+    /// The scalar reference walks `other` column-strided. The SIMD path
+    /// packs `Bᵀ` once, narrows the packed words to i32 and accumulates
+    /// in four i64 lanes when the formats' bit budget guarantees a lane
+    /// cannot overflow; otherwise it runs contiguous i128 dots over the
+    /// packed `Bᵀ`.
     ///
     /// # Panics
     ///
@@ -242,12 +240,6 @@ impl QuantizedMatrix {
         let (k, n) = (self.cols, other.cols);
         let in_frac = self.format.frac_bits() + other.format.frac_bits();
         let mut raw = vec![0i64; self.rows * n];
-        let policy = match policy {
-            KernelPolicy::Simd if !lane_dot_fits_i64(self.format, other.format, k) => {
-                KernelPolicy::Blocked
-            }
-            p => p,
-        };
         match policy {
             KernelPolicy::Scalar => {
                 for i in 0..self.rows {
@@ -260,7 +252,8 @@ impl QuantizedMatrix {
                     }
                 }
             }
-            KernelPolicy::Blocked => {
+            KernelPolicy::Simd if !lane_dot_fits_i64(self.format, other.format, k) => {
+                // A lane could overflow: exact i128 dots over a packed Bᵀ.
                 let bt = pack_transpose_i64(&other.raw, k, n);
                 for i in 0..self.rows {
                     let a_row = &self.raw[i * k..(i + 1) * k];
@@ -333,12 +326,6 @@ impl QuantizedMatrix {
         let (d, n) = (self.cols, other.rows);
         let in_frac = self.format.frac_bits() + other.format.frac_bits();
         let mut raw = vec![0i64; self.rows * n];
-        let policy = match policy {
-            KernelPolicy::Simd if !lane_dot_fits_i64(self.format, other.format, d) => {
-                KernelPolicy::Blocked
-            }
-            p => p,
-        };
         match policy {
             KernelPolicy::Scalar => {
                 for i in 0..self.rows {
@@ -351,10 +338,11 @@ impl QuantizedMatrix {
                     }
                 }
             }
-            KernelPolicy::Blocked => {
-                // Both operands are already row-contiguous; blocking
-                // tiles the B rows so a panel stays cache-hot across
-                // every output row.
+            KernelPolicy::Simd if !lane_dot_fits_i64(self.format, other.format, d) => {
+                // A lane could overflow: exact i128 dots instead. Both
+                // operands are already row-contiguous; blocking tiles
+                // the B rows so a panel stays cache-hot across every
+                // output row.
                 const JT: usize = 64;
                 for jt in (0..n).step_by(JT) {
                     let jt_end = (jt + JT).min(n);
@@ -385,7 +373,7 @@ impl QuantizedMatrix {
     }
 
     /// Element-wise saturating subtraction (both operands must share a
-    /// format), under the process-wide [`KernelPolicy`]. Models the
+    /// format), on the SIMD path ([`KernelPolicy::current`]). Models the
     /// adder column on the left edge of the SA that computes residual
     /// tokens (paper Fig. 7).
     ///
@@ -409,7 +397,7 @@ impl QuantizedMatrix {
     }
 
     /// Element-wise saturating addition (both operands must share a
-    /// format), under the process-wide [`KernelPolicy`].
+    /// format), on the SIMD path ([`KernelPolicy::current`]).
     ///
     /// # Panics
     ///
@@ -540,39 +528,40 @@ mod tests {
 
     #[test]
     fn matmul_policies_are_bitwise_identical_on_edge_shapes() {
-        // Empty, 1xN, non-square, and lane/block-tail shapes.
-        for (m, k, n) in [(0, 0, 0), (0, 3, 2), (2, 0, 3), (1, 1, 1), (1, 9, 33), (5, 7, 3)] {
+        // Empty, 1xN, non-square, and lane/block-tail shapes, then the
+        // paper's SQuAD score product: k₀ = 96 centroid queries against
+        // k₁ + k₂ = 96 + 24 centroid keys at d = 64.
+        let shapes =
+            [(0, 0, 0), (0, 3, 2), (2, 0, 3), (1, 1, 1), (1, 9, 33), (5, 7, 3), (96, 64, 120)];
+        for (m, k, n) in shapes {
             let a = lcg_quantized(m, k, 11, formats::TOKEN);
             let b = lcg_quantized(k, n, 12, formats::CENTROID);
             let bt = lcg_quantized(n, k, 13, formats::CENTROID);
-            let scalar = a.matmul_with(&b, formats::SCORE, cta_tensor::KernelPolicy::Scalar);
-            let scalar_tb =
-                a.matmul_transpose_b_with(&bt, formats::SCORE, cta_tensor::KernelPolicy::Scalar);
-            for policy in [cta_tensor::KernelPolicy::Blocked, cta_tensor::KernelPolicy::Simd] {
-                assert_eq!(a.matmul_with(&b, formats::SCORE, policy), scalar, "{m}x{k}x{n}");
-                assert_eq!(
-                    a.matmul_transpose_b_with(&bt, formats::SCORE, policy),
-                    scalar_tb,
-                    "{m}x{k}x{n}"
-                );
-            }
+            assert_eq!(
+                a.matmul_with(&b, formats::SCORE, KernelPolicy::Simd),
+                a.matmul_with(&b, formats::SCORE, KernelPolicy::Scalar),
+                "{m}x{k}x{n}"
+            );
+            assert_eq!(
+                a.matmul_transpose_b_with(&bt, formats::SCORE, KernelPolicy::Simd),
+                a.matmul_transpose_b_with(&bt, formats::SCORE, KernelPolicy::Scalar),
+                "{m}x{k}x{n}"
+            );
         }
     }
 
     #[test]
     fn matmul_policies_are_bitwise_identical_under_saturation() {
-        // Rails-to-rails products overflow SCORE; every policy must
+        // Rails-to-rails products overflow SCORE; both policies must
         // saturate on exactly the same elements to the same rails.
         let a = lcg_quantized(6, 40, 21, formats::TOKEN);
         let b = lcg_quantized(40, 5, 22, formats::TOKEN);
-        let scalar = a.matmul_with(&b, formats::SCORE, cta_tensor::KernelPolicy::Scalar);
+        let scalar = a.matmul_with(&b, formats::SCORE, KernelPolicy::Scalar);
         assert!(
             scalar.raw().iter().any(|&r| r == formats::SCORE.max_raw()),
             "test shape must actually saturate"
         );
-        for policy in [cta_tensor::KernelPolicy::Blocked, cta_tensor::KernelPolicy::Simd] {
-            assert_eq!(a.matmul_with(&b, formats::SCORE, policy), scalar, "{policy:?}");
-        }
+        assert_eq!(a.matmul_with(&b, formats::SCORE, KernelPolicy::Simd), scalar);
     }
 
     #[test]
@@ -581,24 +570,30 @@ mod tests {
         // (31 + 31 + ceil_log2(64)) > 62, so the SIMD path must take
         // the exact i128 route — and still match scalar bitwise.
         let wide = QFormat::new(32, 7);
+        assert!(!lane_dot_fits_i64(wide, wide, 64));
         let a = lcg_quantized(3, 64, 31, wide);
         let b = lcg_quantized(64, 3, 32, wide);
-        let scalar = a.matmul_with(&b, wide, cta_tensor::KernelPolicy::Scalar);
-        let simd = a.matmul_with(&b, wide, cta_tensor::KernelPolicy::Simd);
-        assert_eq!(simd, scalar);
+        let bt = lcg_quantized(3, 64, 33, wide);
+        assert_eq!(
+            a.matmul_with(&b, wide, KernelPolicy::Simd),
+            a.matmul_with(&b, wide, KernelPolicy::Scalar)
+        );
+        assert_eq!(
+            a.matmul_transpose_b_with(&bt, wide, KernelPolicy::Simd),
+            a.matmul_transpose_b_with(&bt, wide, KernelPolicy::Scalar)
+        );
     }
 
     #[test]
     fn elementwise_policies_are_bitwise_identical() {
-        for len in [(1, 1), (1, 7), (3, 8), (5, 17)] {
+        // Lane tails, then the paper's SQuAD token block (n = 384,
+        // d = 64) — the level-2 residual subtract.
+        for len in [(1, 1), (1, 7), (3, 8), (5, 17), (384, 64)] {
             let a = lcg_quantized(len.0, len.1, 41, formats::TOKEN);
             let b = lcg_quantized(len.0, len.1, 42, formats::TOKEN);
-            let sub = a.sub_with(&b, cta_tensor::KernelPolicy::Scalar);
-            let add = a.add_with(&b, cta_tensor::KernelPolicy::Scalar);
-            for policy in [cta_tensor::KernelPolicy::Blocked, cta_tensor::KernelPolicy::Simd] {
-                assert_eq!(a.sub_with(&b, policy), sub, "{policy:?}");
-                assert_eq!(a.add_with(&b, policy), add, "{policy:?}");
-            }
+            let (scalar, simd) = (KernelPolicy::Scalar, KernelPolicy::Simd);
+            assert_eq!(a.sub_with(&b, simd), a.sub_with(&b, scalar), "{len:?}");
+            assert_eq!(a.add_with(&b, simd), a.add_with(&b, scalar), "{len:?}");
         }
     }
 
@@ -635,10 +630,10 @@ mod tests {
         ) {
             let a = lcg_quantized(m, k, seed, formats::TOKEN);
             let b = lcg_quantized(k, n, seed.wrapping_add(1), formats::CENTROID);
-            let scalar = a.matmul_with(&b, formats::SCORE, cta_tensor::KernelPolicy::Scalar);
-            for policy in [cta_tensor::KernelPolicy::Blocked, cta_tensor::KernelPolicy::Simd] {
-                prop_assert_eq!(&a.matmul_with(&b, formats::SCORE, policy), &scalar);
-            }
+            prop_assert_eq!(
+                a.matmul_with(&b, formats::SCORE, KernelPolicy::Simd),
+                a.matmul_with(&b, formats::SCORE, KernelPolicy::Scalar)
+            );
         }
 
         #[test]

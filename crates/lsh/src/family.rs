@@ -169,8 +169,8 @@ impl LshFamily {
     }
 
     /// Hashes every row of a token matrix (paper eq. 1, `H = ⌊(A·Xᵀ+B)/w⌋`),
-    /// returning one code per token, under the process-wide
-    /// [`KernelPolicy`].
+    /// returning one code per token, on the SIMD path
+    /// ([`KernelPolicy::current`]).
     ///
     /// # Panics
     ///
@@ -182,7 +182,7 @@ impl LshFamily {
     /// [`LshFamily::hash_matrix`] under an explicit [`KernelPolicy`].
     ///
     /// The scalar path hashes token by token, direction by direction;
-    /// the blocked/SIMD paths batch all projections into one
+    /// the SIMD path batches all projections into one
     /// `X · Aᵀ` product — bitwise identical, because each projection is
     /// the same sequential-`d` dot product (f32 multiplication commutes
     /// bitwise) with the bias added afterwards in the same order.
@@ -211,7 +211,7 @@ impl LshFamily {
                     }
                 }
             }
-            KernelPolicy::Blocked | KernelPolicy::Simd => {
+            KernelPolicy::Simd => {
                 let projections = tokens.matmul_transpose_b_with(&self.a, policy);
                 for t in 0..n {
                     let proj_row = projections.row(t);
@@ -349,11 +349,23 @@ mod tests {
 
     #[test]
     fn hash_matrix_policies_are_bitwise_identical() {
-        let fam = family();
-        let tokens = cta_tensor::standard_normal_matrix(7, 37, 8);
-        let scalar = fam.hash_matrix_with(&tokens, KernelPolicy::Scalar);
-        for policy in [KernelPolicy::Blocked, KernelPolicy::Simd] {
-            assert_eq!(fam.hash_matrix_with(&tokens, policy), scalar, "{policy:?}");
+        // A lane-tail shape, then the paper's SQuAD tokens (n = 384,
+        // d = 64).
+        let cases = [
+            (family(), cta_tensor::standard_normal_matrix(7, 37, 8)),
+            (
+                LshFamily::sample(64, LshParams::new(6, 2.0), 11),
+                cta_tensor::standard_normal_matrix(10, 384, 64),
+            ),
+        ];
+        for (fam, tokens) in cases {
+            assert_eq!(
+                fam.hash_matrix_with(&tokens, KernelPolicy::Simd),
+                fam.hash_matrix_with(&tokens, KernelPolicy::Scalar),
+                "{}x{}",
+                tokens.rows(),
+                tokens.cols()
+            );
         }
     }
 

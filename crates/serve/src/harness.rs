@@ -15,8 +15,7 @@
 //!    CSV/stdout columns;
 //! 2. a flag-matcher closure turning a [`FlagParser`] walk into the
 //!    binary's own argument struct (the harness strips and parses the
-//!    shared `--jobs N` / `--kernels P` / `--pool-trace <path>` flags
-//!    first);
+//!    shared `--jobs N` / `--pool-trace <path>` flags first);
 //! 3. an `eval` closure mapping one grid point to its table rows and
 //!    JSON points ([`PointOutput`]).
 //!
@@ -40,7 +39,6 @@ use cta_telemetry::{
     chrome_trace_json, pool_occupancy_events, validate_chrome_trace, AggregateReport,
     RingBufferSink,
 };
-use cta_tensor::KernelPolicy;
 
 /// Ring capacity for `--trace` exports: ~262k events (~15 MB
 /// preallocated); longer runs overwrite the oldest window and report the
@@ -101,11 +99,10 @@ impl SweepSpec {
         self.name
     }
 
-    /// The full binary entry point. Strips the shared `--jobs N`,
-    /// `--kernels P` and `--pool-trace <path>` flags out of `argv`,
-    /// hands the remaining words to `parse`, and on success installs the
-    /// requested kernel policy (if any) and runs `run` with the
-    /// assembled [`Harness`]. Any parse error is printed as `error: …`
+    /// The full binary entry point. Strips the shared `--jobs N` and
+    /// `--pool-trace <path>` flags out of `argv`, hands the remaining
+    /// words to `parse`, and on success runs `run` with the assembled
+    /// [`Harness`]. Any parse error is printed as `error: …`
     /// plus the usage text to stderr, and the process exits non-zero.
     pub fn main<A>(
         self,
@@ -116,11 +113,6 @@ impl SweepSpec {
         let usage = self.usage;
         match self.parse(argv, parse) {
             Ok(harness) => {
-                // Install only here, not in `parse`: tests parse specs
-                // in-process and must not flip the process-wide policy.
-                if let Some(policy) = harness.kernels {
-                    policy.install();
-                }
                 run(&harness);
                 ExitCode::SUCCESS
             }
@@ -139,14 +131,13 @@ impl SweepSpec {
     /// # Errors
     ///
     /// Returns the first malformed-flag message, either from the shared
-    /// `--jobs` / `--kernels` / `--pool-trace` handling or from `parse`.
+    /// `--jobs` / `--pool-trace` handling or from `parse`.
     pub fn parse<A>(
         self,
         argv: impl Iterator<Item = String>,
         parse: impl FnOnce(&mut FlagParser) -> Result<A, String>,
     ) -> Result<Harness<A>, String> {
         let mut jobs = Parallelism::from_env();
-        let mut kernels = None;
         let mut pool_trace = None;
         let mut rest = Vec::new();
         let mut it = argv;
@@ -156,10 +147,6 @@ impl SweepSpec {
                     let v = it.next().ok_or("--jobs needs a value")?;
                     jobs = Parallelism::parse_arg(&v)?;
                 }
-                "--kernels" => {
-                    let v = it.next().ok_or("--kernels needs a value")?;
-                    kernels = Some(KernelPolicy::parse_arg(&v)?);
-                }
                 "--pool-trace" => {
                     pool_trace = Some(it.next().ok_or("--pool-trace needs a value")?);
                 }
@@ -168,7 +155,7 @@ impl SweepSpec {
         }
         let mut flags = FlagParser::new(rest);
         let args = parse(&mut flags)?;
-        Ok(Harness { spec: self, jobs, kernels, pool_trace, args })
+        Ok(Harness { spec: self, jobs, pool_trace, args })
     }
 }
 
@@ -206,7 +193,6 @@ impl PointOutput {
 pub struct Harness<A> {
     spec: SweepSpec,
     jobs: Parallelism,
-    kernels: Option<KernelPolicy>,
     pool_trace: Option<String>,
     args: A,
 }
@@ -215,19 +201,6 @@ impl<A> Harness<A> {
     /// The binary-specific arguments `parse` produced.
     pub fn args(&self) -> &A {
         &self.args
-    }
-
-    /// The worker count for grid evaluation (`--jobs`, `CTA_JOBS`, or
-    /// available cores).
-    pub fn jobs(&self) -> Parallelism {
-        self.jobs
-    }
-
-    /// The `--kernels` policy of this invocation, if one was given.
-    /// [`SweepSpec::main`] installs it process-wide before running;
-    /// `None` leaves the `CTA_KERNELS`/auto default in force.
-    pub fn kernels(&self) -> Option<KernelPolicy> {
-        self.kernels
     }
 
     /// Evaluates `grid` on the pool and emits the full report: banner,
@@ -325,7 +298,7 @@ mod tests {
                 Ok(x)
             })
             .expect("valid");
-        assert_eq!(h.jobs().get(), 3);
+        assert_eq!(h.jobs.get(), 3);
         assert_eq!(*h.args(), 7);
         assert_eq!(h.pool_trace.as_deref(), Some("p.json"));
     }
@@ -336,21 +309,6 @@ mod tests {
         assert!(parse(&["--jobs"]).unwrap_err().contains("needs a value"));
         assert!(parse(&["--jobs", "0"]).unwrap_err().contains("positive"));
         assert!(parse(&["--pool-trace"]).unwrap_err().contains("needs a value"));
-        assert!(parse(&["--kernels"]).unwrap_err().contains("needs a value"));
-        assert!(parse(&["--kernels", "turbo"])
-            .unwrap_err()
-            .contains("--kernels takes scalar|blocked|simd"));
-    }
-
-    #[test]
-    fn kernels_flag_is_stripped_and_recorded_without_installing() {
-        let h =
-            SweepSpec::new("t").parse(words(&["--kernels", "blocked"]), |_| Ok(())).expect("valid");
-        // Recorded on the harness; installation is main()'s job so that
-        // in-process parses stay side-effect-free.
-        assert_eq!(h.kernels(), Some(KernelPolicy::Blocked));
-        let h = SweepSpec::new("t").parse(words(&[]), |_| Ok(())).expect("valid");
-        assert_eq!(h.kernels(), None);
     }
 
     #[test]

@@ -14,17 +14,17 @@
 //!   (default: `CTA_JOBS`, then available cores). Output bytes are
 //!   identical at any value; see the determinism contract in
 //!   [`crate::harness`].
-//! * `--kernels scalar|blocked|simd` — pick the inner-loop kernel
-//!   variant (default: `CTA_KERNELS`, then `simd`). Every variant is
-//!   pinned bitwise-identical, so output bytes are identical at any
-//!   value; only wall-clock changes.
 //! * `--pool-trace <path.json>` — export pool-occupancy wall-clock spans
 //!   as a Chrome trace (one lane per worker).
+//!
+//! Every sweep writes only deterministic outputs. Host wall-clock speed
+//! is measured in one place, the repository benchmark under
+//! `perfbench/`, which times the same fleet and chaos paths end to end
+//! and per layer.
 
 pub mod brownout_sweep;
 pub mod decode_sweep;
 pub mod degradation_sweep;
-pub mod kernel_sweep;
 pub mod planet_sweep;
 pub mod serve_sweep;
 pub mod tenant_sweep;

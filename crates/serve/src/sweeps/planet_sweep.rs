@@ -28,10 +28,9 @@
 //! **Outputs.** The stdout table and `results/planet_sweep.{csv,json}`
 //! are deterministic for a fixed `--seed` at any `--jobs` value — the
 //! `events` column counts handler invocations, which both engines agree
-//! on exactly. Wall-clock event throughput is *not* deterministic, so
-//! it is kept out of the pinned reports and written separately to
-//! `results/BENCH_events.json` (one entry per point with `wall_s` and
-//! `events_per_sec`; run with `--jobs 1` for uncontended numbers).
+//! on exactly. Wall-clock event throughput is measured by the
+//! repository benchmark (`perfbench`'s `fleet` workload, this sweep's
+//! shape at 128 replicas), not here.
 //! With `--trace <path>` the final point is re-run traced and the
 //! export gains an `events` lane ([`cta_telemetry::Module::Events`])
 //! carrying the sampled calendar-queue occupancy as a counter track.
@@ -40,9 +39,8 @@
 //! validates the exported trace; see `.github/workflows/ci.yml`.
 
 use std::process::ExitCode;
-use std::sync::Mutex;
 
-use cta_bench::{parse_list, parse_num, BenchSidecar, FlagParser, JsonValue, SCHEMA_VERSION};
+use cta_bench::{parse_list, parse_num, FlagParser, JsonValue, SCHEMA_VERSION};
 use cta_sim::{CtaSystem, SystemConfig};
 use cta_telemetry::{Module, TraceSink, TrackId};
 use cta_workloads::{case_task, mini_case, DiurnalSpec, FlashCrowd};
@@ -225,12 +223,6 @@ fn run(h: &Harness<Args>) {
     let probe = poisson_requests(&spec, 1, 1.0, args.seed);
     let solo = cost.request_service_s(&system, &probe[0]);
 
-    // Wall-clock measurements per point, collected out-of-band so the
-    // pinned CSV/JSON stay deterministic. (grid index, events, wall_s).
-    let timings: Mutex<Vec<(usize, u64, f64)>> = Mutex::new(Vec::new());
-
-    let grid: Vec<(usize, usize)> = args.replicas.iter().copied().enumerate().collect();
-
     h.run_grid(
         &format!(
             "Planet sweep — diurnal + flash crowd @ load {:.2}, engine {}, \
@@ -240,17 +232,14 @@ fn run(h: &Harness<Args>) {
             args.requests_per_replica,
             solo * 1e3
         ),
-        &grid,
-        |&(index, replicas)| {
+        &args.replicas,
+        |&replicas| {
             let mut out = PointOutput::new();
             let count = replicas * args.requests_per_replica;
             let rate = args.load * replicas as f64 / solo;
             let requests = point_requests(&spec, count, rate, args.seed);
             let cfg = point_config(args, replicas, &requests);
-            let start = std::time::Instant::now();
             let report = simulate_fleet(&cfg, &requests);
-            let wall_s = start.elapsed().as_secs_f64();
-            timings.lock().expect("timings").push((index, report.events_processed, wall_s));
             let m = &report.metrics;
             assert_eq!(m.completed + m.shed, count, "accounting identity");
             let (p50, p99) =
@@ -316,42 +305,6 @@ fn run(h: &Harness<Args>) {
                 .set("seed", JsonValue::Int(args.seed as i64));
         },
     );
-
-    // Wall-clock throughput sidecar: explicitly nondeterministic, so it
-    // lives in its own BENCH_ report instead of the pinned files. The
-    // sidecar merges one run per (git SHA, date) so the file keeps a
-    // trajectory across PRs instead of only the latest numbers.
-    let mut measured = timings.into_inner().expect("timings");
-    measured.sort_unstable_by_key(|&(index, _, _)| index);
-    let mut bench = BenchSidecar::new("BENCH_events");
-    bench
-        .set("experiment", JsonValue::Str("planet_sweep".into()))
-        .set("engine", JsonValue::Str(args.engine.label().into()))
-        .set("seed", JsonValue::Int(args.seed as i64))
-        .set("jobs", JsonValue::Int(h.jobs().get() as i64))
-        .set(
-            "note",
-            JsonValue::Str(
-                "wall-clock timings; nondeterministic, use --jobs 1 for uncontended numbers".into(),
-            ),
-        )
-        .set(
-            "points",
-            JsonValue::Arr(
-                measured
-                    .iter()
-                    .map(|&(index, events, wall_s)| {
-                        JsonValue::obj(vec![
-                            ("replicas", JsonValue::Int(args.replicas[index] as i64)),
-                            ("events", JsonValue::Int(events as i64)),
-                            ("wall_s", JsonValue::Num(wall_s)),
-                            ("events_per_sec", JsonValue::Num(events as f64 / wall_s.max(1e-12))),
-                        ])
-                    })
-                    .collect(),
-            ),
-        );
-    bench.save();
 
     // Telemetry pass: re-run the largest fleet traced, then lay the
     // sampled calendar-queue occupancy onto the `events` lane as a

@@ -1,5 +1,5 @@
 //! CLI robustness tests: malformed `serve_sweep` / `degradation_sweep` /
-//! `brownout_sweep` / `tenant_sweep` / `kernel_sweep` invocations must print an error
+//! `brownout_sweep` / `tenant_sweep` invocations must print an error
 //! plus the usage text to stderr and exit non-zero — never panic (no
 //! `RUST_BACKTRACE` hint, no `panicked at`).
 
@@ -23,7 +23,6 @@ const SERVE_SWEEP: &str = env!("CARGO_BIN_EXE_serve_sweep");
 const DEGRADATION_SWEEP: &str = env!("CARGO_BIN_EXE_degradation_sweep");
 const BROWNOUT_SWEEP: &str = env!("CARGO_BIN_EXE_brownout_sweep");
 const TENANT_SWEEP: &str = env!("CARGO_BIN_EXE_tenant_sweep");
-const KERNEL_SWEEP: &str = env!("CARGO_BIN_EXE_kernel_sweep");
 
 #[test]
 fn serve_sweep_rejects_unknown_flags() {
@@ -87,25 +86,6 @@ fn serve_sweep_rejects_malformed_tenancy_flags() {
     assert_graceful_failure(SERVE_SWEEP, &["--tenants", "0"], "positive");
     assert_graceful_failure(SERVE_SWEEP, &["--tenants"], "needs a value");
     assert_graceful_failure(SERVE_SWEEP, &["--scheduler", "chaos"], "unknown scheduler");
-}
-
-#[test]
-fn sweeps_reject_malformed_kernels_flag() {
-    // The shared --kernels flag is strict: an unknown spelling is an
-    // error on every sweep binary (only the CTA_KERNELS *env default*
-    // is forgiving).
-    assert_graceful_failure(SERVE_SWEEP, &["--kernels", "turbo"], "scalar|blocked|simd");
-    assert_graceful_failure(SERVE_SWEEP, &["--kernels"], "needs a value");
-    assert_graceful_failure(KERNEL_SWEEP, &["--kernels", "SIMD"], "scalar|blocked|simd");
-    assert_graceful_failure(TENANT_SWEEP, &["--kernels", ""], "scalar|blocked|simd");
-}
-
-#[test]
-fn kernel_sweep_rejects_malformed_invocations() {
-    assert_graceful_failure(KERNEL_SWEEP, &["--frobnicate"], "unknown flag");
-    assert_graceful_failure(KERNEL_SWEEP, &["--seed", "many"], "--seed");
-    assert_graceful_failure(KERNEL_SWEEP, &["--reps", "0"], "positive");
-    assert_graceful_failure(KERNEL_SWEEP, &["--reps"], "needs a value");
 }
 
 #[test]

@@ -11,9 +11,8 @@
 //! random initialisation and the scalar statistics helpers used by the
 //! benchmark harness. The `par_matmul` family runs the same kernels over
 //! row panels on a work-stealing pool with bitwise-identical results,
-//! and the [`KernelPolicy`] knob (`--kernels scalar|blocked|simd` >
-//! `CTA_KERNELS` > auto) selects cache-blocked / SIMD variants of the
-//! hot inner loops that are pinned bitwise to the scalar reference.
+//! and the hot inner loops run cache-blocked SIMD kernels pinned bitwise
+//! to the scalar reference that [`KernelPolicy::Scalar`] keeps reachable.
 //!
 //! # Example
 //!
@@ -35,7 +34,7 @@ mod random;
 mod softmax;
 mod stats;
 
-pub use kernels::{KernelPolicy, KERNELS_ENV};
+pub use kernels::KernelPolicy;
 pub use matrix::Matrix;
 pub use nn::{gelu, gelu_matrix, layer_norm_rows};
 pub use random::{standard_normal_matrix, uniform_matrix, MatrixRng};

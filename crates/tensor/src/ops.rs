@@ -4,10 +4,10 @@ use crate::kernels::{matmul_panel, matmul_tb_panel};
 use crate::{KernelPolicy, Matrix};
 
 impl Matrix {
-    /// Matrix product `self · other` under the process-wide
-    /// [`KernelPolicy`]; accumulation is in `f32` (the CTA hardware
-    /// itself is fixed-point; the fixed-point path lives in
-    /// `cta-fixed`). All policies produce bitwise-identical results.
+    /// Matrix product `self · other` on the SIMD kernels
+    /// ([`KernelPolicy::current`]); accumulation is in `f32` (the CTA
+    /// hardware itself is fixed-point; the fixed-point path lives in
+    /// `cta-fixed`). Bitwise identical to the scalar reference.
     ///
     /// # Panics
     ///
@@ -24,8 +24,8 @@ impl Matrix {
     }
 
     /// [`Matrix::matmul`] under an explicit [`KernelPolicy`] — the
-    /// entry point differential tests and the kernel sweep use to pit
-    /// the variants against each other.
+    /// entry point differential tests use to check the SIMD path
+    /// against the scalar reference.
     ///
     /// # Panics
     ///
@@ -46,7 +46,7 @@ impl Matrix {
     }
 
     /// Matrix product with the second operand transposed: `self · otherᵀ`,
-    /// under the process-wide [`KernelPolicy`].
+    /// on the SIMD kernels ([`KernelPolicy::current`]).
     ///
     /// This is the natural layout for attention scores `Q · Kᵀ`: both
     /// operands are stored row-major with rows = vectors, so the product is

@@ -30,10 +30,10 @@
 //!   `--jobs` everywhere ([`Parallelism`], ordered `par_map`,
 //!   row-panel `par_chunks_mut`).
 //!
-//! Two process-wide knobs tune execution without changing a single output
-//! bit: [`Parallelism`] (`--jobs` / `CTA_JOBS`) and [`KernelPolicy`]
-//! (`--kernels` / `CTA_KERNELS`, scalar vs cache-blocked vs SIMD inner
-//! loops — pinned bitwise identical).
+//! [`Parallelism`] (`--jobs` / `CTA_JOBS`) tunes execution without
+//! changing a single output bit. The hot inner loops always run the SIMD
+//! kernels, pinned bitwise identical to the scalar reference that
+//! [`KernelPolicy::Scalar`] keeps reachable for differential tests.
 //!
 //! Streaming decode sessions thread through the whole stack:
 //! [`StreamingCompressor`] maintains the two-level compression
