@@ -51,8 +51,8 @@ pub struct AdmissionPolicy {
 }
 
 impl AdmissionPolicy {
-    /// Admit everything (the compatibility behaviour of
-    /// `cta_sim::simulate_serving`).
+    /// Admit everything (the single-server FIFO behaviour of
+    /// [`FleetConfig::single_fifo`](crate::FleetConfig::single_fifo)).
     pub fn admit_all() -> Self {
         Self { max_queue_depth: None, depth_exempt_priority: None, enforce_deadlines: true }
     }

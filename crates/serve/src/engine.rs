@@ -191,6 +191,16 @@ fn apply_transition<S: TraceSink>(
     }
 }
 
+/// Why a request that lost its replica is shed: a session turn loses its
+/// whole session, anything else just its replica.
+fn lost_reason(request: &ServeRequest) -> ShedReason {
+    if request.session.is_some() {
+        ShedReason::SessionLost
+    } else {
+        ShedReason::ReplicaLost
+    }
+}
+
 /// What became of one dispatch attempt out of the tenancy fair queue
 /// (or straight off the wire when tenancy is off).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -370,6 +380,20 @@ impl<'a> EngineState<'a> {
         }
     }
 
+    /// Records `request` as shed for `reason` after `retries` requeues,
+    /// then releases its session (see [`Self::note_session_shed`]).
+    fn shed_request(&mut self, request: &ServeRequest, reason: ShedReason, retries: u32) {
+        self.shed.push(Shed {
+            id: request.id,
+            class: request.class.name,
+            arrival_s: request.arrival_s,
+            reason,
+            retries,
+            tenant: request.tenant,
+        });
+        self.note_session_shed(request);
+    }
+
     /// Records that `turn`'s session state now lives on `target` (called
     /// after the turn is enqueued there). A move off the previous replica
     /// releases the old residency; a move on a turn past the first is a
@@ -517,21 +541,8 @@ impl<'a> EngineState<'a> {
                 // the evicted compression state: it resumes from layer 0
                 // (and re-prefills wherever it is placed).
                 let cursor = if p.request.session.is_some() { 0 } else { p.resume_cursor };
-                let lost_reason = if p.request.session.is_some() {
-                    ShedReason::SessionLost
-                } else {
-                    ShedReason::ReplicaLost
-                };
                 if attempt > cfg.retry.max_attempts {
-                    self.shed.push(Shed {
-                        id: p.request.id,
-                        class: p.request.class.name,
-                        arrival_s: p.request.arrival_s,
-                        reason: lost_reason,
-                        retries: p.attempt,
-                        tenant: p.request.tenant,
-                    });
-                    self.note_session_shed(&p.request);
+                    self.shed_request(&p.request, lost_reason(&p.request), p.attempt);
                     continue;
                 }
                 let retry_s = ev.t_s + cfg.retry.backoff(attempt);
@@ -547,15 +558,7 @@ impl<'a> EngineState<'a> {
                             remaining += self.cost.session_prefill_s(&self.system, &p.request);
                         }
                         if retry_s + remaining > p.request.arrival_s + d {
-                            self.shed.push(Shed {
-                                id: p.request.id,
-                                class: p.request.class.name,
-                                arrival_s: p.request.arrival_s,
-                                reason: lost_reason,
-                                retries: p.attempt,
-                                tenant: p.request.tenant,
-                            });
-                            self.note_session_shed(&p.request);
+                            self.shed_request(&p.request, lost_reason(&p.request), p.attempt);
                             continue;
                         }
                     }
@@ -593,15 +596,7 @@ impl<'a> EngineState<'a> {
                         let track = TrackId::new(0, Module::Runtime);
                         sink.instant(track, "shed-session-lost", now);
                     }
-                    self.shed.push(Shed {
-                        id: request.id,
-                        class: request.class.name,
-                        arrival_s: request.arrival_s,
-                        reason: ShedReason::SessionLost,
-                        retries: 0,
-                        tenant: request.tenant,
-                    });
-                    self.note_session_shed(request);
+                    self.shed_request(request, ShedReason::SessionLost, 0);
                     return Dispatch::Shed;
                 }
             }
@@ -641,19 +636,7 @@ impl<'a> EngineState<'a> {
                 let track = TrackId::new(0, Module::Fault);
                 sink.instant(track, "shed-fleet-down", now);
             }
-            self.shed.push(Shed {
-                id: request.id,
-                class: request.class.name,
-                arrival_s: request.arrival_s,
-                reason: if request.session.is_some() {
-                    ShedReason::SessionLost
-                } else {
-                    ShedReason::ReplicaLost
-                },
-                retries: 0,
-                tenant: request.tenant,
-            });
-            self.note_session_shed(request);
+            self.shed_request(request, lost_reason(request), 0);
             return Dispatch::Shed;
         };
         let mut est_service_s = self.cost.request_service_s(&self.system, request);
@@ -741,15 +724,7 @@ impl<'a> EngineState<'a> {
                     let track = TrackId::new(target as u32, Module::Runtime);
                     sink.instant(track, "shed", now);
                 }
-                self.shed.push(Shed {
-                    id: request.id,
-                    class: request.class.name,
-                    arrival_s: request.arrival_s,
-                    reason,
-                    retries: 0,
-                    tenant: request.tenant,
-                });
-                self.note_session_shed(request);
+                self.shed_request(request, reason, 0);
                 Dispatch::Shed
             }
         }
@@ -775,15 +750,7 @@ impl<'a> EngineState<'a> {
                 let track = TrackId::new(tenant, Module::Tenancy);
                 sink.instant(track, "quota-shed", now);
             }
-            self.shed.push(Shed {
-                id: request.id,
-                class: request.class.name,
-                arrival_s: request.arrival_s,
-                reason: ShedReason::QuotaExceeded,
-                retries: 0,
-                tenant,
-            });
-            self.note_session_shed(&request);
+            self.shed_request(&request, ShedReason::QuotaExceeded, 0);
             return;
         }
         let ts = self.tenancy.as_mut().expect("tenancy on");
@@ -909,15 +876,7 @@ impl<'a> EngineState<'a> {
         if self.session_on {
             if let Some(turn) = &entry.request.session {
                 if self.lost_sessions.contains(&turn.session) {
-                    self.shed.push(Shed {
-                        id: entry.request.id,
-                        class: entry.request.class.name,
-                        arrival_s: entry.request.arrival_s,
-                        reason: ShedReason::SessionLost,
-                        retries: entry.attempt,
-                        tenant: entry.request.tenant,
-                    });
-                    self.note_session_shed(&entry.request);
+                    self.shed_request(&entry.request, ShedReason::SessionLost, entry.attempt);
                     return;
                 }
             }
@@ -983,19 +942,7 @@ impl<'a> EngineState<'a> {
                 // give up.
                 let attempt = entry.attempt + 1;
                 if attempt > cfg.retry.max_attempts {
-                    self.shed.push(Shed {
-                        id: entry.request.id,
-                        class: entry.request.class.name,
-                        arrival_s: entry.request.arrival_s,
-                        reason: if entry.request.session.is_some() {
-                            ShedReason::SessionLost
-                        } else {
-                            ShedReason::ReplicaLost
-                        },
-                        retries: entry.attempt,
-                        tenant: entry.request.tenant,
-                    });
-                    self.note_session_shed(&entry.request);
+                    self.shed_request(&entry.request, lost_reason(&entry.request), entry.attempt);
                 } else {
                     self.requeues_total += 1;
                     if S::ENABLED {
@@ -1190,21 +1137,13 @@ impl<'a> EngineState<'a> {
     fn finish<S: TraceSink>(mut self, sink: &mut S) -> FleetReport {
         // Requests still parked in the fair queue when the run ends (the
         // fleet was down, or warming capacity never arrived): shed as
-        // ReplicaLost so the conservation invariant holds.
+        // ReplicaLost so the conservation invariant holds. Every request
+        // enters the fair queue under its own tenant id (`tenant_arrival`
+        // pushes `request.tenant`; `unpop` returns what `pop` gave), so the
+        // shed record's owner is `request.tenant`.
         while let Some((tenant, request)) = self.tenancy.as_mut().and_then(|t| t.queue.pop()) {
-            self.shed.push(Shed {
-                id: request.id,
-                class: request.class.name,
-                arrival_s: request.arrival_s,
-                reason: if request.session.is_some() {
-                    ShedReason::SessionLost
-                } else {
-                    ShedReason::ReplicaLost
-                },
-                retries: 0,
-                tenant,
-            });
-            self.note_session_shed(&request);
+            debug_assert_eq!(tenant, request.tenant, "fair-queue lane is the request's tenant");
+            self.shed_request(&request, lost_reason(&request), 0);
         }
         // Close the books on replicas still down at the end of the run:
         // their open outage extends to the fleet makespan (or the crash

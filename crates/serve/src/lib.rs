@@ -3,11 +3,11 @@
 //! `cta-serve`: a request-level serving runtime over the CTA system model.
 //!
 //! `cta-sim` answers "how fast does one request run on the pool?"
-//! (`CtaSystem::run_layers`) and carries a deliberately minimal FIFO
-//! serving path (`cta_sim::simulate_serving`). This crate answers the
-//! deployment question — what does a *fleet* of CTA pools sustain under
-//! an open-loop arrival process? — with three mechanisms the FIFO path
-//! lacks:
+//! (`CtaSystem::run_layers`). This crate is the one serving path: it
+//! answers the deployment question — what does a *fleet* of CTA pools
+//! sustain under an open-loop arrival process? — from a single FIFO
+//! replica ([`FleetConfig::single_fifo`]) up to fleets with these
+//! mechanisms layered on:
 //!
 //! * **continuous batching** ([`BatchPolicy`]) — replicas advance in
 //!   layer steps and merge the current layers of all active requests into
@@ -36,12 +36,13 @@
 //!   [`FleetMetrics::tenancy`].
 //!
 //! Everything is deterministic: seeded load generators
-//! ([`poisson_requests`], [`mmpp_requests`], [`replay_trace`]),
-//! tie-broken event ordering ([`simulate_fleet`]), and exact (not
-//! sampled) percentile metrics ([`FleetMetrics`]). Configured down to one replica
-//! with batching off and admission disabled ([`FleetConfig::single_fifo`]),
-//! [`simulate_fleet`] reproduces `cta_sim::simulate_serving` exactly —
-//! the `equivalence` integration test pins that.
+//! ([`poisson_requests`], [`mmpp_requests`], [`diurnal_requests`],
+//! [`session_requests`]), tie-broken event ordering ([`simulate_fleet`]),
+//! and exact (not sampled) percentile metrics ([`FleetMetrics`]).
+//! Configured down to one replica with batching off and admission
+//! disabled ([`FleetConfig::single_fifo`]), [`simulate_fleet`] is a
+//! single-server FIFO queue over the `CtaSystem` step primitives — the
+//! `equivalence` integration test pins it bit for bit against that fold.
 //!
 //! The sweep binaries (`serve_sweep`, `degradation_sweep`,
 //! `brownout_sweep`) are thin adapters over [`sweeps`], which in turn
@@ -88,8 +89,7 @@ pub use fault::{
 };
 pub use harness::{Harness, PointOutput, SweepSpec};
 pub use loadgen::{
-    mmpp_requests, poisson_requests, replay_trace, session_requests, LoadSpec, MmppParams,
-    TraceError,
+    diurnal_requests, mmpp_requests, poisson_requests, session_requests, LoadSpec, MmppParams,
 };
 pub use metrics::{FleetMetrics, OverloadStats, SessionStats};
 pub use overload::{

@@ -2,8 +2,8 @@
 //!
 //! All generators are seeded and deterministic: the same arguments always
 //! produce the same trace, which is what makes fleet sweeps reproducible
-//! and lets the property tests assert bitwise-identical reports. Three
-//! arrival processes cover the evaluation's needs:
+//! and lets the property tests assert bitwise-identical reports. These
+//! generators are the only way the crate builds a request trace:
 //!
 //! * [`poisson_requests`] — memoryless arrivals at a constant rate, the
 //!   standard open-loop model;
@@ -11,14 +11,14 @@
 //!   (calm/burst), the classic bursty-traffic model that stresses
 //!   admission control far harder than a Poisson stream of equal mean
 //!   rate;
-//! * [`replay_trace`] — adopts a pre-generated `cta-sim` /
-//!   `cta-workloads` arrival trace under a service class;
+//! * [`diurnal_requests`] — a day/night cycle with a flash crowd
+//!   ([`cta_workloads::DiurnalSpec`]), the planet-scale load shape;
 //! * [`session_requests`] — adopts a `cta-workloads` multi-turn session
 //!   trace ([`cta_workloads::session_trace`]) as session-tagged decode
 //!   requests.
 
-use cta_sim::{AttentionTask, ServingRequest};
-use cta_workloads::{session_trace, SessionSpec};
+use cta_sim::AttentionTask;
+use cta_workloads::{session_trace, DiurnalSpec, FlashCrowd, SessionSpec};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -137,100 +137,34 @@ pub fn mmpp_requests(
         .collect()
 }
 
-/// Why a replayed arrival trace was rejected.
+/// A diurnal + flash-crowd arrival trace: `rate_rps` is the daytime rate
+/// of four day/night cycles spanning the trace's nominal length
+/// (`count / rate_rps`), with the night at 0.25x and a 4x flash crowd
+/// early in the second cycle. Ids are `0..count` in arrival order.
 ///
-/// The fleet runtime assumes arrival times are finite, non-negative and
-/// sorted; a trace violating any of these used to slip through silently
-/// (a NaN timestamp, say, defeats every `<=` event-ordering comparison)
-/// and could wedge or crash the event loop far from the bad input. The
-/// replay constructor now rejects such traces up front with the index of
-/// the first offending entry.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum TraceError {
-    /// The trace has no requests.
-    Empty,
-    /// `arrival_s` at this index is NaN or infinite.
-    NonFinite {
-        /// Index of the offending request in the trace.
-        index: usize,
-    },
-    /// `arrival_s` at this index is negative.
-    Negative {
-        /// Index of the offending request in the trace.
-        index: usize,
-    },
-    /// `arrival_s` at this index is earlier than its predecessor's.
-    NonMonotonic {
-        /// Index of the offending request in the trace.
-        index: usize,
-    },
-}
-
-impl core::fmt::Display for TraceError {
-    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        match self {
-            TraceError::Empty => write!(f, "arrival trace is empty"),
-            TraceError::NonFinite { index } => {
-                write!(f, "arrival time at trace index {index} is not finite")
-            }
-            TraceError::Negative { index } => {
-                write!(f, "arrival time at trace index {index} is negative")
-            }
-            TraceError::NonMonotonic { index } => {
-                write!(f, "arrival time at trace index {index} precedes its predecessor")
-            }
-        }
-    }
-}
-
-impl std::error::Error for TraceError {}
-
-/// Adopts a `cta-sim` arrival trace (e.g. from
-/// [`cta_sim::poisson_trace`] or `cta_workloads::case_arrival_trace`)
-/// under one service class, assigning ids in trace order.
+/// # Panics
 ///
-/// # Equal timestamps
-///
-/// Coincident arrivals are legal (the monotonicity check is `<`, not
-/// `<=`): real traces batch and so do replays. Their tie-break is the
-/// assigned id — trace order — which both fleet engines honour
-/// identically: the step-granular scan admits in index order at a due
-/// instant, and the event core orders coincident arrival events by
-/// request id ([`cta_events::EventKey`]'s `tie` field). The `engine`
-/// integration tests pin that a burst of equal-timestamp arrivals
-/// produces bitwise-identical reports on both engines.
-///
-/// # Errors
-///
-/// Returns a [`TraceError`] naming the first offending index when the
-/// trace is empty or its arrival times are NaN/infinite, negative, or
-/// non-monotonic — instead of handing the fleet runtime a trace it would
-/// livelock or panic on.
-pub fn replay_trace(
-    trace: &[ServingRequest],
-    class: QosClass,
-) -> Result<Vec<ServeRequest>, TraceError> {
-    if trace.is_empty() {
-        return Err(TraceError::Empty);
-    }
-    let mut prev = 0.0f64;
-    for (index, r) in trace.iter().enumerate() {
-        if !r.arrival_s.is_finite() {
-            return Err(TraceError::NonFinite { index });
-        }
-        if r.arrival_s < 0.0 {
-            return Err(TraceError::Negative { index });
-        }
-        if r.arrival_s < prev {
-            return Err(TraceError::NonMonotonic { index });
-        }
-        prev = r.arrival_s;
-    }
-    Ok(trace
-        .iter()
+/// Panics if `count == 0` or `rate_rps <= 0`.
+pub fn diurnal_requests(
+    spec: &LoadSpec,
+    count: usize,
+    rate_rps: f64,
+    seed: u64,
+) -> Vec<ServeRequest> {
+    let period = (count as f64 / rate_rps / 4.0).max(1e-6);
+    let diurnal = DiurnalSpec::new(rate_rps, period, 0.6, 0.25).with_flash(FlashCrowd::new(
+        1.1 * period,
+        0.2 * period,
+        4.0,
+    ));
+    diurnal
+        .arrival_times(count, seed)
+        .into_iter()
         .enumerate()
-        .map(|(id, r)| ServeRequest::from_serving(id as u64, class, r))
-        .collect())
+        .map(|(id, t)| {
+            ServeRequest::uniform(id as u64, t, spec.class, spec.task, spec.layers, spec.heads)
+        })
+        .collect()
 }
 
 /// A multi-turn decode-session workload as fleet requests: every turn of
@@ -282,7 +216,6 @@ pub fn session_requests(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cta_sim::poisson_trace;
 
     fn spec() -> LoadSpec {
         LoadSpec::standard(AttentionTask::from_counts(128, 128, 64, 50, 40, 20, 6), 2, 4)
@@ -322,49 +255,12 @@ mod tests {
     }
 
     #[test]
-    fn replay_preserves_arrivals_and_assigns_ids() {
-        let s = spec();
-        let trace = poisson_trace(20, 50.0, s.task, s.layers, s.heads, 3);
-        let rs = replay_trace(&trace, QosClass::batch()).expect("valid trace");
-        assert_eq!(rs.len(), 20);
-        for (i, r) in rs.iter().enumerate() {
-            assert_eq!(r.id, i as u64);
-            assert_eq!(r.arrival_s, trace[i].arrival_s);
-            assert_eq!(r.layer_tasks, trace[i].layer_tasks);
-            assert_eq!(r.class, QosClass::batch());
-        }
-    }
-
-    #[test]
-    fn replay_rejects_malformed_traces_with_typed_errors() {
-        let s = spec();
-        let mut trace = poisson_trace(5, 50.0, s.task, s.layers, s.heads, 3);
-        assert_eq!(replay_trace(&[], QosClass::batch()), Err(TraceError::Empty));
-
-        let good = trace[2].arrival_s;
-        trace[2].arrival_s = f64::NAN;
-        assert_eq!(
-            replay_trace(&trace, QosClass::batch()),
-            Err(TraceError::NonFinite { index: 2 })
-        );
-        trace[2].arrival_s = f64::INFINITY;
-        assert_eq!(
-            replay_trace(&trace, QosClass::batch()),
-            Err(TraceError::NonFinite { index: 2 })
-        );
-        trace[2].arrival_s = good;
-
-        trace[0].arrival_s = -1.0;
-        assert_eq!(replay_trace(&trace, QosClass::batch()), Err(TraceError::Negative { index: 0 }));
-        trace[0].arrival_s = 0.0;
-
-        trace[3].arrival_s = trace[2].arrival_s / 2.0;
-        assert_eq!(
-            replay_trace(&trace, QosClass::batch()),
-            Err(TraceError::NonMonotonic { index: 3 })
-        );
-        // Each error renders a human-readable message naming the index.
-        assert!(TraceError::NonMonotonic { index: 3 }.to_string().contains("index 3"));
+    fn diurnal_is_sorted_deterministic_and_id_ordered() {
+        let a = diurnal_requests(&spec(), 64, 5_000.0, 7);
+        assert_eq!(a.len(), 64);
+        assert!(a.windows(2).all(|w| w[0].arrival_s < w[1].arrival_s));
+        assert!(a.iter().enumerate().all(|(i, r)| r.id == i as u64));
+        assert_eq!(a, diurnal_requests(&spec(), 64, 5_000.0, 7));
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! Fleet-level serving metrics.
 //!
 //! Latency percentiles are exact (computed over every completion through
-//! [`cta_sim::latency_percentile`] — the same nearest-rank method the
-//! single-replica path uses), not approximated from histogram buckets.
+//! [`cta_sim::latency_percentile`]'s nearest-rank method), not
+//! approximated from histogram buckets.
 
 use cta_sim::{latency_percentile, ServingMetrics};
 
@@ -24,9 +24,8 @@ pub struct FleetMetrics {
     /// always count) per second of makespan.
     pub goodput_rps: f64,
     /// Latency distribution over completions (`None` when everything was
-    /// shed). Identical in definition to the single-replica
-    /// [`ServingMetrics`]: its `busy_fraction` is the mean replica
-    /// utilization.
+    /// shed), as [`ServingMetrics`]: its `busy_fraction` is the mean
+    /// replica utilization.
     pub latency: Option<ServingMetrics>,
     /// Trace start to last completion, seconds.
     pub makespan_s: f64,

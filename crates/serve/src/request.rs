@@ -1,6 +1,6 @@
 //! Requests and service classes as the runtime sees them.
 
-use cta_sim::{AttentionTask, ServingRequest};
+use cta_sim::AttentionTask;
 
 /// A quality-of-service class: a scheduling priority plus an optional
 /// completion deadline.
@@ -127,8 +127,7 @@ impl ServeRequest {
         self
     }
 
-    /// A request whose every layer runs `heads` copies of one head task
-    /// (mirror of [`ServingRequest::uniform`]).
+    /// A request whose every layer runs `heads` copies of one head task.
     ///
     /// # Panics
     ///
@@ -143,12 +142,6 @@ impl ServeRequest {
     ) -> Self {
         assert!(layers > 0 && heads > 0, "layers and heads must be positive");
         Self::new(id, arrival_s, class, vec![vec![task; heads]; layers])
-    }
-
-    /// Adopts a `cta-sim` serving request under a class, keeping its
-    /// arrival time and layer tasks.
-    pub fn from_serving(id: u64, class: QosClass, r: &ServingRequest) -> Self {
-        Self::new(id, r.arrival_s, class, r.layer_tasks.clone())
     }
 
     /// Number of layers the request still owes from `cursor` (layers
@@ -174,14 +167,6 @@ mod tests {
         assert_eq!(r.remaining_layers(0), 3);
         assert_eq!(r.remaining_layers(2), 1);
         assert_eq!(r.remaining_layers(5), 0);
-    }
-
-    #[test]
-    fn from_serving_preserves_arrival_and_shape() {
-        let s = ServingRequest::uniform(2.0, task(), 2, 3);
-        let r = ServeRequest::from_serving(1, QosClass::batch(), &s);
-        assert_eq!(r.arrival_s, 2.0);
-        assert_eq!(r.layer_tasks, s.layer_tasks);
     }
 
     #[test]
@@ -230,6 +215,18 @@ mod tests {
     #[should_panic(expected = "every layer needs at least one head")]
     fn empty_layer_rejected() {
         let _ = ServeRequest::new(0, 0.0, QosClass::standard(), vec![vec![task()], vec![]]);
+    }
+
+    #[test]
+    #[should_panic(expected = "layers and heads must be positive")]
+    fn uniform_rejects_zero_heads() {
+        let _ = ServeRequest::uniform(0, 0.0, QosClass::standard(), task(), 1, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "arrival time must be non-negative")]
+    fn negative_arrival_rejected() {
+        let _ = ServeRequest::uniform(0, -0.5, QosClass::standard(), task(), 1, 1);
     }
 
     #[test]

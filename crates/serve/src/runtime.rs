@@ -187,8 +187,9 @@ impl FleetConfig {
 
     /// The compatibility configuration: one replica, round-robin (trivial)
     /// routing, batching off, admit everything, no faults. In this
-    /// configuration [`simulate_fleet`] reproduces
-    /// `cta_sim::simulate_serving` exactly.
+    /// configuration [`simulate_fleet`] is a single-server FIFO queue:
+    /// each request's latency is its wait plus the weight upload and its
+    /// `CtaSystem::step_layer` times, accumulated layer by layer.
     pub fn single_fifo(system: cta_sim::SystemConfig) -> Self {
         Self::builder(system).build().expect("the single-replica baseline is always valid")
     }
@@ -318,7 +319,9 @@ pub struct FleetReport {
     pub event_queue_samples: Vec<(f64, usize)>,
 }
 
-/// Plays `requests` (sorted by arrival) through the fleet.
+/// Plays `requests` (sorted by arrival) through the fleet. Coincident
+/// arrivals are legal and are served in slice order on both engines (the
+/// `engine` integration tests pin this).
 ///
 /// # Panics
 ///

@@ -18,7 +18,7 @@
 //! ```
 //!
 //! Each point simulates `replicas × requests-per-replica` requests from
-//! a seeded diurnal trace ([`cta_workloads::DiurnalSpec`]): the offered
+//! a seeded diurnal trace ([`crate::diurnal_requests`]): the offered
 //! rate `load × replicas / solo_service` is the daytime rate of a
 //! four-cycle day/night pattern (night at 0.25x) with a 4x flash crowd
 //! early in the second cycle. `--mtbf-factor` follows the
@@ -43,12 +43,13 @@ use std::process::ExitCode;
 use cta_bench::{parse_list, parse_num, FlagParser, JsonValue, SCHEMA_VERSION};
 use cta_sim::{CtaSystem, SystemConfig};
 use cta_telemetry::{Module, TraceSink, TrackId};
-use cta_workloads::{case_task, mini_case, DiurnalSpec, FlashCrowd};
+use cta_workloads::{case_task, mini_case};
 
 use crate::harness::{export_trace, Harness, PointOutput, SweepSpec};
 use crate::{
-    poisson_requests, simulate_fleet, simulate_fleet_traced, AdmissionPolicy, BatchPolicy,
-    CostModel, FaultPlan, FleetConfig, FleetEngine, LoadSpec, RoutingPolicy, ServeRequest,
+    diurnal_requests, poisson_requests, simulate_fleet, simulate_fleet_traced, AdmissionPolicy,
+    BatchPolicy, CostModel, FaultPlan, FleetConfig, FleetEngine, LoadSpec, RoutingPolicy,
+    ServeRequest,
 };
 
 /// Usage text printed to stderr on any malformed invocation.
@@ -174,26 +175,6 @@ pub fn main(argv: impl Iterator<Item = String>) -> ExitCode {
     SweepSpec::new("planet_sweep").usage(USAGE).columns(SWEEP_COLUMNS).main(argv, Args::parse, run)
 }
 
-/// The diurnal + flash-crowd trace for one fleet size (the serve_sweep
-/// shape: four day/night cycles at night 0.25x, 4x flash crowd early in
-/// the second cycle).
-fn point_requests(spec: &LoadSpec, count: usize, rate: f64, seed: u64) -> Vec<ServeRequest> {
-    let period = (count as f64 / rate / 4.0).max(1e-6);
-    let diurnal = DiurnalSpec::new(rate, period, 0.6, 0.25).with_flash(FlashCrowd::new(
-        1.1 * period,
-        0.2 * period,
-        4.0,
-    ));
-    diurnal
-        .arrival_times(count, seed)
-        .into_iter()
-        .enumerate()
-        .map(|(id, t)| {
-            ServeRequest::uniform(id as u64, t, spec.class, spec.task, spec.layers, spec.heads)
-        })
-        .collect()
-}
-
 fn point_config(args: &Args, replicas: usize, requests: &[ServeRequest]) -> FleetConfig {
     let mut cfg = FleetConfig::sharded(SystemConfig::paper(), replicas);
     cfg.engine = args.engine;
@@ -237,7 +218,7 @@ fn run(h: &Harness<Args>) {
             let mut out = PointOutput::new();
             let count = replicas * args.requests_per_replica;
             let rate = args.load * replicas as f64 / solo;
-            let requests = point_requests(&spec, count, rate, args.seed);
+            let requests = diurnal_requests(&spec, count, rate, args.seed);
             let cfg = point_config(args, replicas, &requests);
             let report = simulate_fleet(&cfg, &requests);
             let m = &report.metrics;
@@ -313,7 +294,7 @@ fn run(h: &Harness<Args>) {
         let replicas = *args.replicas.last().expect("non-empty sweep");
         let count = replicas * args.requests_per_replica;
         let rate = args.load * replicas as f64 / solo;
-        let requests = point_requests(&spec, count, rate, args.seed);
+        let requests = diurnal_requests(&spec, count, rate, args.seed);
         let cfg = point_config(args, replicas, &requests);
         export_trace(
             path,
@@ -359,15 +340,5 @@ mod tests {
     fn csv_header_carries_schema_version() {
         assert_eq!(SWEEP_COLUMNS.last(), Some(&"schema_version"));
         assert_eq!(SCHEMA_VERSION, 2, "bump this pin alongside the layout");
-    }
-
-    #[test]
-    fn point_trace_scales_with_the_fleet_and_stays_deterministic() {
-        let case = mini_case();
-        let spec = LoadSpec::standard(case_task(&case), case.model.layers, case.model.heads);
-        let a = point_requests(&spec, 64, 5_000.0, 7);
-        assert_eq!(a.len(), 64);
-        assert!(a.windows(2).all(|w| w[0].arrival_s < w[1].arrival_s));
-        assert_eq!(a, point_requests(&spec, 64, 5_000.0, 7));
     }
 }

@@ -56,7 +56,7 @@
 //! (the `engine` integration tests), so the CSV bytes do not change —
 //! only the simulator's own complexity class does. With
 //! `--arrivals diurnal` the Poisson trace is replaced by a diurnally
-//! modulated one ([`cta_workloads::DiurnalSpec`]): the point rate
+//! modulated one ([`crate::diurnal_requests`]): the point rate
 //! becomes the daytime rate of a four-cycle day/night pattern (night at
 //! 0.25x) with a 4x flash crowd early in the second cycle.
 //!
@@ -67,13 +67,13 @@ use std::process::ExitCode;
 
 use cta_bench::{parse_list, parse_num, FlagParser, JsonValue, SCHEMA_VERSION};
 use cta_sim::{CtaSystem, SystemConfig};
-use cta_workloads::{case_task, mini_case, DiurnalSpec, FlashCrowd};
+use cta_workloads::{case_task, mini_case};
 
 use crate::harness::{export_trace, Harness, PointOutput, SweepSpec};
 use crate::{
-    poisson_requests, simulate_fleet, simulate_fleet_traced, AdmissionPolicy, BatchPolicy,
-    BrownoutConfig, CostModel, FaultPlan, FleetConfig, FleetEngine, LoadSpec, OverloadControl,
-    RoutingPolicy, SchedulerPolicy, ServeRequest, TenancyConfig,
+    diurnal_requests, poisson_requests, simulate_fleet, simulate_fleet_traced, AdmissionPolicy,
+    BatchPolicy, BrownoutConfig, CostModel, FaultPlan, FleetConfig, FleetEngine, LoadSpec,
+    OverloadControl, RoutingPolicy, SchedulerPolicy, ServeRequest, TenancyConfig,
 };
 
 /// Usage text printed to stderr on any malformed invocation.
@@ -322,13 +322,13 @@ fn point_config(args: &Args, replicas: usize) -> FleetConfig {
     cfg
 }
 
-/// The arrival trace for one sweep point. Poisson traces come straight
-/// from [`poisson_requests`]; diurnal traces treat the point rate as the
-/// daytime rate of a four-cycle day/night pattern (night at 0.25x) with
-/// a 4x flash crowd early in the second cycle, sized so the cycle
-/// structure fits the trace span whatever `--requests` and the rate are.
+/// The arrival trace for one sweep point, from [`poisson_requests`] or
+/// [`diurnal_requests`] at the point rate, striped over the tenants.
 fn point_requests(args: &Args, spec: &LoadSpec, rate: f64, seed: u64) -> Vec<ServeRequest> {
-    let requests = raw_point_requests(args, spec, rate, seed);
+    let requests = match args.arrivals {
+        Arrivals::Poisson => poisson_requests(spec, args.requests, rate, seed),
+        Arrivals::Diurnal => diurnal_requests(spec, args.requests, rate, seed),
+    };
     match args.tenants {
         // Stripe arrivals over the equal-weight tenants round-robin.
         Some(n) if n > 1 => requests
@@ -339,35 +339,6 @@ fn point_requests(args: &Args, spec: &LoadSpec, rate: f64, seed: u64) -> Vec<Ser
             })
             .collect(),
         _ => requests,
-    }
-}
-
-fn raw_point_requests(args: &Args, spec: &LoadSpec, rate: f64, seed: u64) -> Vec<ServeRequest> {
-    match args.arrivals {
-        Arrivals::Poisson => poisson_requests(spec, args.requests, rate, seed),
-        Arrivals::Diurnal => {
-            let period = (args.requests as f64 / rate / 4.0).max(1e-6);
-            let diurnal = DiurnalSpec::new(rate, period, 0.6, 0.25).with_flash(FlashCrowd::new(
-                1.1 * period,
-                0.2 * period,
-                4.0,
-            ));
-            diurnal
-                .arrival_times(args.requests, seed)
-                .into_iter()
-                .enumerate()
-                .map(|(id, t)| {
-                    ServeRequest::uniform(
-                        id as u64,
-                        t,
-                        spec.class,
-                        spec.task,
-                        spec.layers,
-                        spec.heads,
-                    )
-                })
-                .collect()
-        }
     }
 }
 

@@ -105,8 +105,8 @@ fn full_overload_stack_is_engine_independent() {
 
 #[test]
 fn coincident_arrivals_resolve_by_request_id_in_both_engines() {
-    // Equal timestamps are legal in replayed traces (`replay_trace`
-    // accepts them); both engines must serve them in id order. Two
+    // Equal timestamps are legal (the sortedness precondition is `<=`);
+    // both engines must serve them in id order. Two
     // bursts of four simultaneous arrivals, one at t=0.
     let s = spec();
     let mk = |id: u64, t: f64| ServeRequest::uniform(id, t, s.class, s.task, s.layers, s.heads);

@@ -79,8 +79,8 @@ fn tracing_never_changes_the_report() {
 
 #[test]
 fn single_fifo_equivalence_survives_tracing() {
-    // The single-replica FIFO configuration is pinned elsewhere to
-    // `cta_sim::simulate_serving`; attaching a sink must not break that
+    // The single-replica FIFO configuration is pinned elsewhere to a
+    // single-server FIFO fold; attaching a sink must not break that
     // chain.
     let cfg = FleetConfig::single_fifo(SystemConfig::paper());
     let requests = poisson_requests(&spec(), 32, 20_000.0, 3);

@@ -1,15 +1,14 @@
-//! Case-derived serving arrival traces.
+//! Case-derived serving workloads.
 //!
-//! The serving experiments (`cta-sim`'s FIFO path and the `cta-serve`
-//! fleet runtime) consume arrival traces of whole-model requests. This
-//! module derives those traces from the evaluation [`TestCase`]s so the
-//! served workload matches the accuracy experiments: request shape from
-//! the case's model (layers × heads at the dataset's sequence length) and
-//! per-head compression counts at CTA-0-grade ratios.
+//! The serving experiments (the `cta-serve` fleet runtime and its sweeps)
+//! replay whole-model requests. [`case_task`] derives the request shape
+//! from an evaluation [`TestCase`] so the served workload matches the
+//! accuracy experiments: the case's model (layers × heads at the
+//! dataset's sequence length) with per-head compression counts at
+//! CTA-0-grade ratios. The arrival processes themselves live in
+//! `cta-serve`'s load generators.
 
-use cta_sim::{AttentionTask, ServingRequest};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use cta_sim::AttentionTask;
 
 use crate::TestCase;
 
@@ -30,37 +29,10 @@ pub fn case_task(case: &TestCase) -> AttentionTask {
     )
 }
 
-/// A seeded Poisson arrival trace of `count` requests, each a full pass of
-/// the case's model (`model.layers` layers × `model.heads` heads of
-/// [`case_task`]) with exponential inter-arrival times at `rate_rps`.
-///
-/// # Panics
-///
-/// Panics if `count == 0` or `rate_rps <= 0`.
-pub fn case_arrival_trace(
-    case: &TestCase,
-    count: usize,
-    rate_rps: f64,
-    seed: u64,
-) -> Vec<ServingRequest> {
-    assert!(count > 0, "at least one request");
-    assert!(rate_rps > 0.0, "rate must be positive");
-    let task = case_task(case);
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut t = 0.0f64;
-    (0..count)
-        .map(|_| {
-            let u: f64 = rng.gen_range(1e-12..1.0);
-            t += -u.ln() / rate_rps;
-            ServingRequest::uniform(t, task, case.model.layers, case.model.heads)
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{mini_case, paper_cases};
+    use crate::paper_cases;
 
     #[test]
     fn case_task_matches_case_dimensions() {
@@ -72,37 +44,5 @@ mod tests {
             assert!(t.k0 <= t.num_queries && t.k1 <= t.num_keys && t.k2 <= t.num_keys);
             assert!(t.k2 < t.k1, "coarse centers outnumber fine survivors");
         }
-    }
-
-    #[test]
-    fn trace_is_sorted_shaped_and_deterministic() {
-        let case = mini_case();
-        let a = case_arrival_trace(&case, 50, 20.0, 9);
-        assert_eq!(a.len(), 50);
-        assert!(a.windows(2).all(|w| w[0].arrival_s <= w[1].arrival_s));
-        for r in &a {
-            assert_eq!(r.layer_tasks.len(), case.model.layers);
-            assert!(r.layer_tasks.iter().all(|l| l.len() == case.model.heads));
-        }
-        assert_eq!(a.len(), case_arrival_trace(&case, 50, 20.0, 9).len());
-        let b = case_arrival_trace(&case, 50, 20.0, 9);
-        for (x, y) in a.iter().zip(&b) {
-            assert_eq!(x.arrival_s, y.arrival_s);
-        }
-    }
-
-    #[test]
-    fn rate_scales_mean_interarrival() {
-        let case = mini_case();
-        let slow = case_arrival_trace(&case, 100, 1.0, 4);
-        let fast = case_arrival_trace(&case, 100, 100.0, 4);
-        let span = |t: &[ServingRequest]| t.last().expect("nonempty").arrival_s;
-        assert!(span(&slow) > span(&fast) * 10.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "rate must be positive")]
-    fn non_positive_rate_rejected() {
-        let _ = case_arrival_trace(&mini_case(), 1, 0.0, 0);
     }
 }

@@ -46,7 +46,7 @@ mod vision;
 
 pub use accuracy::{evaluate_case, CaseEvaluation, ProxyTask};
 pub use adaptive::{adapt_per_head, AdaptiveResult};
-pub use arrivals::{case_arrival_trace, case_task};
+pub use arrivals::case_task;
 pub use brownout::{calibrate_brownout_ladder, BrownoutCalibration, BrownoutRung};
 pub use cases::{mini_case, paper_cases, TestCase};
 pub use datasets::{all_datasets, imdb, squad11, squad20, wikitext2, DatasetSpec};

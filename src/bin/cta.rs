@@ -15,10 +15,10 @@ use std::collections::HashMap;
 use std::process::ExitCode;
 
 use cta::baselines::GpuModel;
+use cta::serve::{poisson_requests, simulate_fleet, FleetConfig, LoadSpec};
 use cta::sim::{
-    area_breakdown, poisson_trace, power_trace, schedule, schedule_ffn, simulate_serving, sweep,
-    trace_schedule, AreaModel, AttentionTask, CtaAccelerator, CtaSystem, EnergyModel, HwConfig,
-    SystemConfig,
+    area_breakdown, power_trace, schedule, schedule_ffn, sweep, trace_schedule, AreaModel,
+    AttentionTask, CtaAccelerator, CtaSystem, EnergyModel, HwConfig, SystemConfig,
 };
 use cta::telemetry::{chrome_trace_json, validate_chrome_trace, AggregateReport, RingBufferSink};
 use cta::workloads::{
@@ -306,16 +306,20 @@ fn cmd_serve(flags: &HashMap<String, String>) -> Result<(), String> {
     );
     let layers: usize = get(flags, "layers")?;
     let heads: usize = get(flags, "heads")?;
+    if layers == 0 || heads == 0 {
+        return Err("--layers and --heads must be at least 1".into());
+    }
     let load: f64 = get(flags, "load")?;
-    if load <= 0.0 {
-        return Err("--load must be positive".into());
+    if !(load.is_finite() && load > 0.0) {
+        return Err("--load must be a positive finite number".into());
     }
     let mut cfg = SystemConfig::paper();
     cfg.hw.max_seq_len = cfg.hw.max_seq_len.max(n);
-    let sys = CtaSystem::new(cfg);
-    let service = sys.run_layers(&vec![vec![task; heads]; layers]).total_s;
-    let trace = poisson_trace(300, load / service, task, layers, heads, 42);
-    let m = simulate_serving(&sys, &trace);
+    let service = CtaSystem::new(cfg).run_layers(&vec![vec![task; heads]; layers]).total_s;
+    let spec = LoadSpec::standard(task, layers, heads);
+    let requests = poisson_requests(&spec, 300, load / service, 42);
+    let report = simulate_fleet(&FleetConfig::single_fifo(cfg), &requests);
+    let m = report.metrics.latency.expect("a single FIFO replica completes every request");
     println!("service time {:.2} ms/request; offered load {:.0}%", service * 1e3, load * 100.0);
     println!(
         "throughput {:.1} rps | p50 {:.2} ms | p95 {:.2} ms | p99 {:.2} ms | busy {:.0}%",

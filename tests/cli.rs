@@ -43,6 +43,26 @@ fn serve_prints_percentiles() {
 }
 
 #[test]
+fn serve_rejects_bad_values_with_usage() {
+    let serve = |flag: &str, value: &str| {
+        let mut args = vec![
+            "serve", "--n", "128", "--k0", "40", "--k1", "30", "--k2", "10", "--layers", "2",
+            "--heads", "12", "--load", "0.5",
+        ];
+        let at = args.iter().position(|a| *a == flag).expect("known flag") + 1;
+        args[at] = value;
+        cta(&args)
+    };
+    for (flag, value) in [("--load", "nan"), ("--load", "inf"), ("--layers", "0"), ("--heads", "0")]
+    {
+        let out = serve(flag, value);
+        assert_eq!(out.status.code(), Some(1), "{flag} {value} must fail cleanly, not panic");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains("usage:"), "{flag} {value}: {err}");
+    }
+}
+
+#[test]
 fn unknown_subcommand_fails_with_usage() {
     let out = cta(&["frobnicate"]);
     assert!(!out.status.success());

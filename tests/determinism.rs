@@ -5,10 +5,8 @@
 use cta::attention::{
     cta_forward, cta_forward_quantized, AttentionWeights, CtaConfig, QuantizationConfig,
 };
-use cta::sim::{
-    poisson_trace, simulate_serving, AttentionTask, CtaAccelerator, CtaSystem, HwConfig,
-    SystemConfig,
-};
+use cta::serve::{poisson_requests, simulate_fleet, FleetConfig, LoadSpec};
+use cta::sim::{AttentionTask, CtaAccelerator, HwConfig, SystemConfig};
 use cta::workloads::{
     adapt_per_head, evaluate_case, generate_case_tokens, generate_patch_tokens, mini_case,
     VisionCase,
@@ -71,15 +69,10 @@ fn simulator_reports_are_deterministic() {
 
 #[test]
 fn serving_traces_are_deterministic() {
-    let task = AttentionTask::from_counts(128, 128, 64, 50, 40, 20, 6);
-    let sys = CtaSystem::new(SystemConfig::paper());
-    let t1 = poisson_trace(30, 500.0, task, 2, 12, 9);
-    let t2 = poisson_trace(30, 500.0, task, 2, 12, 9);
-    assert_eq!(t1.len(), t2.len());
-    for (a, b) in t1.iter().zip(&t2) {
-        assert_eq!(a.arrival_s, b.arrival_s);
-    }
-    let m1 = simulate_serving(&sys, &t1);
-    let m2 = simulate_serving(&sys, &t2);
-    assert_eq!(m1, m2);
+    let spec = LoadSpec::standard(AttentionTask::from_counts(128, 128, 64, 50, 40, 20, 6), 2, 12);
+    let t1 = poisson_requests(&spec, 30, 500.0, 9);
+    let t2 = poisson_requests(&spec, 30, 500.0, 9);
+    assert_eq!(t1, t2);
+    let fifo = FleetConfig::single_fifo(SystemConfig::paper());
+    assert_eq!(simulate_fleet(&fifo, &t1), simulate_fleet(&fifo, &t2));
 }
