@@ -16,6 +16,13 @@
 //! (level 1's cheaper cost for level 0's dispatch would corrupt every
 //! estimate downstream). Level 0 is always the undegraded baseline, so
 //! the pre-brownout entry points delegate to it unchanged.
+//!
+//! Two one-entry fast paths sit in front of the maps, because a fleet
+//! asks the same question many times in a row: [`CostModel::head_at`]
+//! remembers the last `(level, task)` it answered, and
+//! [`CostModel::step_layer`] the last layer it scheduled. A uniform
+//! request then prices one layer and compares the rest. A hit returns the
+//! very value a miss would have stored, so no simulated float changes.
 
 use std::collections::HashMap;
 
@@ -33,6 +40,12 @@ use crate::{ServeRequest, SessionTurn};
 #[derive(Debug, Default, Clone)]
 pub struct CostModel {
     cache: HashMap<(u8, AttentionTask), TaskCost>,
+    /// The last `(level, task)` [`head_at`](Self::head_at) answered, and
+    /// its cost: checked before hashing into `cache`.
+    last_head: Option<((u8, AttentionTask), TaskCost)>,
+    /// The last layer [`step_layer`](Self::step_layer) scheduled, and its
+    /// step: a layer equal to it is not priced or scheduled again.
+    last_step: Option<(Vec<AttentionTask>, LayerStep)>,
     /// Per-(level, shape) phase splits, filled lazily and only when
     /// telemetry asks for them (the untraced hot path never touches this
     /// map).
@@ -72,13 +85,21 @@ impl CostModel {
         scale: f64,
         task: &AttentionTask,
     ) -> TaskCost {
-        *self.cache.entry((level, *task)).or_insert_with(|| {
+        let key = (level, *task);
+        if let Some((last, cost)) = &self.last_head {
+            if *last == key {
+                return *cost;
+            }
+        }
+        let cost = *self.cache.entry(key).or_insert_with(|| {
             if scale == 1.0 {
                 system.head_cost(task)
             } else {
                 system.head_cost(&task.with_budget_scale(scale))
             }
-        })
+        });
+        self.last_head = Some((key, cost));
+        cost
     }
 
     /// The wall-clock phase split of one head task at the baseline
@@ -126,13 +147,25 @@ impl CostModel {
 
     /// Executes one layer dispatch through
     /// [`CtaSystem::step_layer_costed`] using cached baseline head costs.
+    /// A layer equal to the previous call's returns that call's step
+    /// without scheduling again.
     ///
     /// # Panics
     ///
     /// Panics if `tasks` is empty.
     pub fn step_layer(&mut self, system: &CtaSystem, tasks: &[AttentionTask]) -> LayerStep {
+        if let Some((last, step)) = &self.last_step {
+            if last.as_slice() == tasks {
+                return *step;
+            }
+        }
         let costs: Vec<TaskCost> = tasks.iter().map(|t| self.head(system, t)).collect();
-        system.step_layer_costed(tasks, &costs)
+        let step = system.step_layer_costed(tasks, &costs);
+        let (last, last_step) = self.last_step.get_or_insert_with(|| (Vec::new(), step));
+        last.clear();
+        last.extend_from_slice(tasks);
+        *last_step = step;
+        step
     }
 
     /// [`step_layer`](Self::step_layer) priced as a decode segment: every
@@ -277,6 +310,42 @@ mod tests {
         assert_eq!(cost.head_at(&sys, 2, 0.6, &t), degraded);
         assert_eq!(cost.head_at(&sys, 2, 0.6, &t), sys.head_cost(&t.with_budget_scale(0.6)));
         assert_eq!(cost.distinct_shapes(), 2, "lookups must hit the memo");
+    }
+
+    #[test]
+    fn one_entry_head_path_never_crosses_levels() {
+        // Alternating levels on one nominal shape: the one-entry fast path
+        // holds the other level's cost at every lookup, so any stale hit
+        // would hand level 0 the degraded cost or the reverse.
+        let sys = system();
+        let mut cost = CostModel::new();
+        let t = task();
+        for _ in 0..3 {
+            for (level, scale) in [(0, 1.0), (0, 1.0), (2, 0.6), (2, 0.6), (0, 1.0), (2, 0.6)] {
+                let fresh = CostModel::new().head_at(&sys, level, scale, &t);
+                assert_eq!(cost.head_at(&sys, level, scale, &t), fresh, "level {level}");
+            }
+        }
+        assert_eq!(cost.distinct_shapes(), 2);
+    }
+
+    #[test]
+    fn one_entry_step_path_never_returns_a_stale_layer() {
+        // Two layer shapes in turn, with repeats: each step must equal a
+        // fresh model's, whether the previous call was the same layer or
+        // the other one.
+        let sys = system();
+        let mut cost = CostModel::new();
+        let a = vec![task(); 4];
+        let mut b = vec![task(); 3];
+        b.push(AttentionTask::from_counts(16, 512, 64, 8, 180, 40, 6));
+        for layer in [&a, &b, &b, &a, &a, &b, &a] {
+            let fresh = CostModel::new().step_layer(&sys, layer);
+            assert_eq!(cost.step_layer(&sys, layer), fresh);
+            // A head lookup between steps must not disturb either path.
+            assert_eq!(cost.head(&sys, &layer[3]), sys.head_cost(&layer[3]));
+        }
+        assert_ne!(cost.step_layer(&sys, &a), cost.step_layer(&sys, &b), "shapes differ");
     }
 
     #[test]

@@ -1487,7 +1487,7 @@ fn run_event_driven<S: TraceSink>(mut state: EngineState<'_>, sink: &mut S) -> F
         }
         state.touched.sort_unstable();
         state.touched.dedup();
-        for i in std::mem::take(&mut state.touched) {
+        for &i in &state.touched {
             let want = state.replicas[i].next_step_time();
             let have = step_events[i].map(|(t, _)| t);
             if want != have {
@@ -1500,6 +1500,7 @@ fn run_event_driven<S: TraceSink>(mut state: EngineState<'_>, sink: &mut S) -> F
                 }
             }
         }
+        state.touched.clear();
 
         if state.events_processed % QUEUE_SAMPLE_EVERY == 1 {
             samples.push((key.t, el.len()));

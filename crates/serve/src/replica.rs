@@ -8,7 +8,7 @@
 //! [`BatchPolicy::max_active_requests`]) and finished requests leave, so
 //! a long request never blocks a short one for more than one layer.
 
-use cta_sim::{AttentionTask, CtaSystem, TaskCost};
+use cta_sim::{AttentionTask, CtaSystem, LayerStep, TaskCost};
 use cta_telemetry::{Module, SpanClass, TraceSink, TrackId};
 
 use crate::{CostModel, FaultPlan, ServeRequest, SessionTurn};
@@ -171,6 +171,12 @@ pub(crate) struct Replica {
     /// [`outstanding_s`](Self::outstanding_s) so routing sees resident
     /// state as load. Empty on non-session fleets (bitwise-dormant).
     pub(crate) resident_sessions: Vec<(u64, f64)>,
+    /// The last step's merged head tasks and their costs, refilled in
+    /// place by [`execute_step`](Self::execute_step), and the step they
+    /// scheduled (`None` before the first step).
+    merged: Vec<AttentionTask>,
+    costs: Vec<TaskCost>,
+    last_step: Option<LayerStep>,
 }
 
 impl Replica {
@@ -194,6 +200,9 @@ impl Replica {
             level_name: crate::overload::LEVEL_NAMES[0],
             brownout_s: 0.0,
             resident_sessions: Vec::new(),
+            merged: Vec::new(),
+            costs: Vec::new(),
+            last_step: None,
         }
     }
 
@@ -413,8 +422,8 @@ impl Replica {
         // pre-brownout expression (memo keys changed shape, values did
         // not).
         let degraded = self.level != 0;
-        let mut merged: Vec<AttentionTask> = Vec::new();
-        let mut costs: Vec<TaskCost> = Vec::new();
+        let mut n = 0;
+        let mut same = true;
         for a in &self.active {
             // Session turns price each layer as a decode segment (per-
             // token incremental compression at the resident prefix)
@@ -423,18 +432,35 @@ impl Replica {
             // cluster budget, which decode inherits through its prefix.
             let turn = a.request.session;
             for t in &a.request.layer_tasks[a.cursor] {
-                if degraded {
-                    merged.push(t.with_budget_scale(self.level_scale));
-                } else {
-                    merged.push(*t);
-                }
-                costs.push(match &turn {
+                let task = if degraded { t.with_budget_scale(self.level_scale) } else { *t };
+                let c = match &turn {
                     Some(st) => cost.decode_head(&self.system, t, st),
                     None => cost.head_at(&self.system, self.level, self.level_scale, t),
-                });
+                };
+                // Refill the buffers in place, noting whether this step's
+                // dispatch repeats the last one bit for bit. Costs are
+                // compared too: a brownout level or a decode turn on the
+                // same shapes prices them differently.
+                if n < self.merged.len() {
+                    same &= self.merged[n] == task && same_bits(&self.costs[n], &c);
+                    self.merged[n] = task;
+                    self.costs[n] = c;
+                } else {
+                    same = false;
+                    self.merged.push(task);
+                    self.costs.push(c);
+                }
+                n += 1;
             }
         }
-        let step = self.system.step_layer_costed(&merged, &costs);
+        same &= n == self.merged.len();
+        self.merged.truncate(n);
+        self.costs.truncate(n);
+        let step = match self.last_step {
+            Some(step) if same => step,
+            _ => self.system.step_layer_costed(&self.merged, &self.costs),
+        };
+        self.last_step = Some(step);
         // Transient slowdown: steps starting inside a window stretch by
         // the plan's factor. Guarded so the healthy path's float
         // arithmetic is bit-for-bit the pre-fault expression.
@@ -454,7 +480,7 @@ impl Replica {
         }
 
         if S::ENABLED {
-            self.trace_step(sink, cost, StepTiming { t0, upload_s, re_prefill_s }, &merged, &step);
+            self.trace_step(sink, cost, StepTiming { t0, upload_s, re_prefill_s }, &step);
             if degraded {
                 // The whole degraded step lands on the brownout lane,
                 // named after the operating point, so AggregateReport can
@@ -488,15 +514,8 @@ impl Replica {
         }
         let finish = self.clock;
         let index = self.index;
-        let mut retired: Vec<Active> = Vec::new();
-        self.active.retain_mut(|a| {
-            if a.request.remaining_layers(a.cursor) == 0 {
-                retired.push(a.clone());
-                false
-            } else {
-                true
-            }
-        });
+        let mut retired: Vec<Active> =
+            self.active.extract_if(.., |a| a.request.remaining_layers(a.cursor) == 0).collect();
         // Deterministic completion order at equal finish time: by id.
         retired.sort_by_key(|a| a.request.id);
         for a in retired {
@@ -526,7 +545,7 @@ impl Replica {
     /// upload/transfer spans, SA phase spans (compression → linear →
     /// attention, with the PAG-stall tail flagged as a bubble), and
     /// auxiliary-module overlays. Phase boundaries inside the step's
-    /// critical path follow the merged tasks' memoised
+    /// critical path follow the merged tasks' (`self.merged`) memoised
     /// [`cta_sim::PhaseSplit`] proportions, so summed span seconds per
     /// class reconcile with `SystemRun` totals (the reconciliation
     /// integration test pins this).
@@ -535,8 +554,7 @@ impl Replica {
         sink: &mut S,
         cost: &mut CostModel,
         timing: StepTiming,
-        merged: &[AttentionTask],
-        step: &cta_sim::LayerStep,
+        step: &LayerStep,
     ) {
         let StepTiming { t0, upload_s, re_prefill_s } = timing;
         let replica = self.index as u32;
@@ -565,7 +583,7 @@ impl Replica {
         let mut lin = 0.0;
         let mut att = 0.0;
         let mut stall = 0.0;
-        for t in merged {
+        for t in &self.merged {
             // `merged` already holds the degraded shapes, so the split is
             // keyed at the *degraded* shape under the current level — it
             // can't alias the baseline entry for the same nominal shape.
@@ -601,6 +619,12 @@ impl Replica {
         sink.span(cag, "centroid-agg", c0, comp_end, SpanClass::Compression, false);
         sink.span(pag, "probability-agg", lin_end, end, SpanClass::Attention, false);
     }
+}
+
+/// Whether two head costs are equal bit for bit (`==` on floats would
+/// equate `0.0` with `-0.0`).
+fn same_bits(a: &TaskCost, b: &TaskCost) -> bool {
+    a.latency_s.to_bits() == b.latency_s.to_bits() && a.energy_j.to_bits() == b.energy_j.to_bits()
 }
 
 #[cfg(test)]
@@ -684,6 +708,48 @@ mod tests {
         assert_eq!(done.len(), 2, "both finish at the final merged layer");
         assert_eq!(done[0].finish_s, done[1].finish_s);
         assert_eq!((done[0].id, done[1].id), (0, 1));
+    }
+
+    #[test]
+    fn reused_steps_match_direct_scheduling() {
+        // Baseline, degraded, baseline again, then a session turn: the
+        // third dispatch repeats the first and may reuse its step; the
+        // second and fourth share the first's nominal shapes but not its
+        // costs (or, degraded, its shapes) and must be scheduled afresh.
+        let mut r = replica();
+        let mut cost = CostModel::new();
+        let ladder = crate::BrownoutLadder::standard();
+        let turn =
+            SessionTurn { session: 0, turn: 1, decode_tokens: 4, reclusters: 0, last: false };
+        let plain = ServeRequest::uniform(0, 0.0, QosClass::standard(), task(), 3, 4);
+        r.enqueue(Pending::fresh(plain, 0.0));
+        r.enqueue(Pending::fresh(
+            ServeRequest::uniform(1, 0.0, QosClass::standard(), task(), 1, 4).with_session(turn),
+            0.0,
+        ));
+        let sys = r.system.clone();
+        let (level, scale) = (2, ladder.level(2).budget_scale);
+        let base = sys.step_layer_costed(&[task(); 4], &[sys.head_cost(&task()); 4]);
+        let shrunk = task().with_budget_scale(scale);
+        let degraded = sys.step_layer_costed(&[shrunk; 4], &[sys.head_cost(&shrunk); 4]);
+        let decode_cost = sys.decode_head_cost(&task(), 4, 0);
+        let decode = sys.step_layer_costed(&[task(); 4], &[decode_cost; 4]);
+        assert_ne!(base, degraded);
+        assert_ne!(base, decode);
+
+        let mut done = Vec::new();
+        let batch = BatchPolicy::off();
+        let faults = FaultPlan::none();
+        let mut step = |r: &mut Replica, level: usize| {
+            r.set_level(&ladder, level);
+            r.execute_step(&batch, &faults, &mut cost, &mut done, &mut cta_telemetry::NullSink);
+            r.last_step.expect("a step ran")
+        };
+        assert_eq!(step(&mut r, 0), base);
+        assert_eq!(step(&mut r, level), degraded);
+        assert_eq!(step(&mut r, 0), base);
+        assert_eq!(step(&mut r, 0), decode, "request 1's session turn");
+        assert_eq!(done.len(), 2);
     }
 
     #[test]

@@ -1,5 +1,7 @@
 //! Requests and service classes as the runtime sees them.
 
+use std::sync::Arc;
+
 use cta_sim::AttentionTask;
 
 /// A quality-of-service class: a scheduling priority plus an optional
@@ -71,6 +73,9 @@ pub struct SessionTurn {
 /// One inference request as admitted to the fleet: identity, arrival,
 /// class, and the per-layer head tasks of its model (layer-major, exactly
 /// as [`cta_sim::CtaSystem::run_layers`] takes them).
+///
+/// The layer table is shared: a clone (a queued copy, a retry, a hedge)
+/// bumps a reference count instead of copying every head task.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ServeRequest {
     /// Unique request id; used as the deterministic tie-breaker wherever
@@ -86,8 +91,8 @@ pub struct ServeRequest {
     /// one-shot prefill requests — every pre-session constructor leaves it
     /// `None`, keeping existing traces and goldens byte-identical).
     pub session: Option<SessionTurn>,
-    /// Per-layer head tasks.
-    pub layer_tasks: Vec<Vec<AttentionTask>>,
+    /// Per-layer head tasks, shared by every clone of the request.
+    pub layer_tasks: Arc<[Vec<AttentionTask>]>,
 }
 
 impl ServeRequest {
@@ -101,8 +106,9 @@ impl ServeRequest {
         id: u64,
         arrival_s: f64,
         class: QosClass,
-        layer_tasks: Vec<Vec<AttentionTask>>,
+        layer_tasks: impl Into<Arc<[Vec<AttentionTask>]>>,
     ) -> Self {
+        let layer_tasks = layer_tasks.into();
         assert!(arrival_s >= 0.0, "arrival time must be non-negative");
         assert!(!layer_tasks.is_empty(), "a request needs at least one layer");
         assert!(layer_tasks.iter().all(|l| !l.is_empty()), "every layer needs at least one head");
@@ -141,7 +147,10 @@ impl ServeRequest {
         heads: usize,
     ) -> Self {
         assert!(layers > 0 && heads > 0, "layers and heads must be positive");
-        Self::new(id, arrival_s, class, vec![vec![task; heads]; layers])
+        // Collected straight into the shared table: one allocation for
+        // the table, one per layer.
+        let table: Arc<[Vec<AttentionTask>]> = (0..layers).map(|_| vec![task; heads]).collect();
+        Self::new(id, arrival_s, class, table)
     }
 
     /// Number of layers the request still owes from `cursor` (layers

@@ -112,7 +112,7 @@ fn fleet_trace_reconciles_with_system_run_totals() {
         // onto each layer step's LPT critical path — the same quantities
         // the SA-track spans are laid out from, computed here through the
         // sim-side API instead of the serve-side trace writer.
-        for tasks in &r.layer_tasks {
+        for tasks in r.layer_tasks.iter() {
             let step = system.step_layer(tasks);
             let (mut c, mut l, mut a) = (0.0f64, 0.0f64, 0.0f64);
             for t in tasks {

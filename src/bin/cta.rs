@@ -98,6 +98,27 @@ fn get_or<T: std::str::FromStr>(
     }
 }
 
+/// The self-attention head task named by `--n --k0 --k1 --k2 [--d 64]
+/// [--l 6]`. The counts are checked here, so a bad value is an error
+/// instead of a panic in [`AttentionTask::from_counts`].
+fn task_flags(flags: &HashMap<String, String>) -> Result<AttentionTask, String> {
+    let n: usize = get(flags, "n")?;
+    let d: usize = get_or(flags, "d", 64)?;
+    let ks: [usize; 3] = [get(flags, "k0")?, get(flags, "k1")?, get(flags, "k2")?];
+    let l: usize = get_or(flags, "l", 6)?;
+    for (name, value) in [("n", n), ("d", d), ("l", l)] {
+        if value == 0 {
+            return Err(format!("--{name} must be at least 1"));
+        }
+    }
+    for (name, k) in ["k0", "k1", "k2"].into_iter().zip(ks) {
+        if k == 0 || k > n {
+            return Err(format!("--{name} = {k} must be between 1 and --n = {n}"));
+        }
+    }
+    Ok(AttentionTask::from_counts(n, n, d, ks[0], ks[1], ks[2], l))
+}
+
 fn model_by_name(name: &str) -> Result<ModelSpec, String> {
     match name {
         "bert-large" => Ok(bert_large()),
@@ -136,17 +157,8 @@ fn hw_from_flags(flags: &HashMap<String, String>, max_seq: usize) -> Result<HwCo
 }
 
 fn cmd_simulate(flags: &HashMap<String, String>) -> Result<(), String> {
-    let n: usize = get(flags, "n")?;
-    let d: usize = get_or(flags, "d", 64)?;
-    let task = AttentionTask::from_counts(
-        n,
-        n,
-        d,
-        get(flags, "k0")?,
-        get(flags, "k1")?,
-        get(flags, "k2")?,
-        get_or(flags, "l", 6)?,
-    );
+    let task = task_flags(flags)?;
+    let (n, d) = (task.num_keys, task.head_dim);
     let hw = hw_from_flags(flags, n)?;
     let acc = CtaAccelerator::new(hw);
     let r = acc.simulate_head(&task);
@@ -250,17 +262,8 @@ fn cmd_area(flags: &HashMap<String, String>) -> Result<(), String> {
 }
 
 fn cmd_sweep(flags: &HashMap<String, String>) -> Result<(), String> {
-    let n: usize = get(flags, "n")?;
-    let d: usize = get_or(flags, "d", 64)?;
-    let task = AttentionTask::from_counts(
-        n,
-        n,
-        d,
-        get(flags, "k0")?,
-        get(flags, "k1")?,
-        get(flags, "k2")?,
-        get_or(flags, "l", 6)?,
-    );
+    let task = task_flags(flags)?;
+    let n = task.num_keys;
     let mut hw = HwConfig::paper();
     hw.max_seq_len = hw.max_seq_len.max(n);
     let points = sweep(&hw, &task, &[4, 8, 16, 32], &[4, 8, 16, 32, 64, 128]);
@@ -294,16 +297,8 @@ fn cmd_ffn(flags: &HashMap<String, String>) -> Result<(), String> {
 }
 
 fn cmd_serve(flags: &HashMap<String, String>) -> Result<(), String> {
-    let n: usize = get(flags, "n")?;
-    let task = AttentionTask::from_counts(
-        n,
-        n,
-        get_or(flags, "d", 64)?,
-        get(flags, "k0")?,
-        get(flags, "k1")?,
-        get(flags, "k2")?,
-        get_or(flags, "l", 6)?,
-    );
+    let task = task_flags(flags)?;
+    let n = task.num_keys;
     let layers: usize = get(flags, "layers")?;
     let heads: usize = get(flags, "heads")?;
     if layers == 0 || heads == 0 {
@@ -346,16 +341,8 @@ fn cmd_trace(flags: &HashMap<String, String>) -> Result<(), String> {
     }
 
     // Generation mode: trace one head's mapping schedule.
-    let n: usize = get(flags, "n")?;
-    let task = AttentionTask::from_counts(
-        n,
-        n,
-        get_or(flags, "d", 64)?,
-        get(flags, "k0")?,
-        get(flags, "k1")?,
-        get(flags, "k2")?,
-        get_or(flags, "l", 6)?,
-    );
+    let task = task_flags(flags)?;
+    let n = task.num_keys;
     let hw = hw_from_flags(flags, n)?;
     let sched = schedule(&hw, &task);
     let mut sink = RingBufferSink::with_capacity(4096);

@@ -77,3 +77,21 @@ fn missing_flag_fails_with_message() {
     assert!(!out.status.success());
     assert!(String::from_utf8_lossy(&out.stderr).contains("missing --k0"));
 }
+
+#[test]
+fn task_subcommands_reject_bad_cluster_counts_with_usage() {
+    // Every subcommand that builds a head task from --n/--k0/--k1/--k2
+    // reports a count above --n, or of zero, as an error, not a panic.
+    let extra: [&[&str]; 4] = [&[], &[], &["--layers", "2", "--heads", "4", "--load", "0.5"], &[]];
+    for (cmd, extra) in ["simulate", "sweep", "serve", "trace"].into_iter().zip(extra) {
+        for (k0, k1, k2) in [("200", "30", "10"), ("40", "129", "10"), ("40", "30", "0")] {
+            let mut args = vec![cmd, "--n", "128", "--k0", k0, "--k1", k1, "--k2", k2];
+            args.extend_from_slice(extra);
+            let out = cta(&args);
+            let err = String::from_utf8_lossy(&out.stderr);
+            assert_eq!(out.status.code(), Some(1), "{args:?} must fail cleanly: {err}");
+            assert!(err.contains("error: --k"), "{args:?}: {err}");
+            assert!(err.contains("usage:"), "{args:?}: {err}");
+        }
+    }
+}
