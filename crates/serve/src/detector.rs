@@ -16,7 +16,7 @@
 //!   [`DetectorPolicy::gray_ratio`] × the mean of the *other* replicas
 //!   is completing — so phi stays low — but pathologically slowly.
 //!
-//! A quarantined replica is removed from the routable mask for
+//! A quarantined replica is removed from the engine's routable set for
 //! [`DetectorPolicy::probation_s`] seconds, then re-admitted on
 //! probation with a fresh observation window (it must mis-behave over
 //! [`DetectorPolicy::min_samples`] fresh completions to be quarantined
@@ -24,7 +24,7 @@
 //!
 //! Everything here is a pure function of event-time inputs evaluated
 //! inside the shared engine handlers, so both fleet drivers observe the
-//! identical mask sequence and stay bitwise equal. With
+//! identical routable-set sequence and stay bitwise equal. With
 //! `FleetConfig::detector = None` the bank is never constructed and the
 //! fleet reproduces the detector-less runtime bit for bit (pinned by
 //! golden tests).
@@ -158,6 +158,8 @@ impl ReplicaDetector {
 pub(crate) struct DetectorBank {
     policy: DetectorPolicy,
     states: Vec<ReplicaDetector>,
+    /// Per-replica mean intervals, refilled by each [`Self::mask`] call.
+    means: Vec<Option<f64>>,
 }
 
 impl DetectorBank {
@@ -166,6 +168,7 @@ impl DetectorBank {
         Self {
             policy,
             states: (0..replicas).map(|_| ReplicaDetector::new(policy.window)).collect(),
+            means: Vec::with_capacity(replicas),
         }
     }
 
@@ -193,25 +196,28 @@ impl DetectorBank {
         }
     }
 
-    /// The routable mask as of `now`: advances quarantine/probation state
-    /// and evaluates both suspicion signals. `false` = quarantined.
+    /// Applies quarantine to the engine's routable set as of `now`:
+    /// advances quarantine/probation state, evaluates both suspicion
+    /// signals, and clears `routable[i]` for every quarantined replica.
+    /// Other entries are left as they are.
     pub fn mask<S: TraceSink>(
         &mut self,
         replicas: &[Replica],
         now: f64,
         sink: &mut S,
-    ) -> Vec<bool> {
+        routable: &mut [bool],
+    ) {
         let min_samples = self.policy.min_samples;
         // Per-replica means, fixed before any state advances: the gray
         // signal compares against the *other* replicas' means.
-        let means: Vec<Option<f64>> =
-            self.states.iter().map(|s| s.mean_interval(min_samples)).collect();
-        let mut out = Vec::with_capacity(self.states.len());
+        self.means.clear();
+        self.means.extend(self.states.iter().map(|s| s.mean_interval(min_samples)));
+        let means = &self.means;
         for i in 0..self.states.len() {
             let st = &mut self.states[i];
             if let Some(until) = st.quarantined_until {
                 if now < until {
-                    out.push(false);
+                    routable[i] = false;
                     continue;
                 }
                 // Probation over: re-admit with a fresh window. The probe
@@ -227,20 +233,15 @@ impl DetectorBank {
                     sink.span(track, "quarantine", st.quarantine_from, now, SpanClass::Fault, true);
                     sink.instant(track, "probe-readmit", now);
                 }
-                out.push(true);
                 continue;
             }
             // Crashed replicas are the runtime's problem (`up` already
             // excludes them from routing); quarantining them would only
             // pollute the false-positive count.
             if !replicas[i].up {
-                out.push(true);
                 continue;
             }
-            let Some(mean) = means[i] else {
-                out.push(true);
-                continue;
-            };
+            let Some(mean) = means[i] else { continue };
             // Silence: only replicas with outstanding work can be
             // suspiciously quiet.
             let mut suspect = false;
@@ -271,12 +272,9 @@ impl DetectorBank {
                     let track = TrackId::new(i as u32, Module::Chaos);
                     sink.instant(track, "quarantine", now);
                 }
-                out.push(false);
-            } else {
-                out.push(true);
+                routable[i] = false;
             }
         }
-        out
     }
 
     /// End-of-run: closes quarantine spans still open at the makespan.
@@ -344,6 +342,13 @@ mod tests {
         bank
     }
 
+    /// The routable set the bank leaves as of `now`, starting all `true`.
+    fn mask(bank: &mut DetectorBank, replicas: &[Replica], now: f64) -> Vec<bool> {
+        let mut routable = vec![true; replicas.len()];
+        bank.mask(replicas, now, &mut NullSink, &mut routable);
+        routable
+    }
+
     fn idle_fleet(n: usize) -> Vec<Replica> {
         let system = cta_sim::CtaSystem::new(cta_sim::SystemConfig::paper());
         (0..n).map(|i| Replica::new(i, system.clone())).collect()
@@ -353,10 +358,8 @@ mod tests {
     fn silence_without_work_is_not_suspicious() {
         let mut bank = fed_bank(2, 0.1, 1.0);
         let replicas = idle_fleet(2);
-        let mut sink = NullSink;
         // 100 s of silence, but the replicas are idle: no quarantine.
-        let mask = bank.mask(&replicas, 100.0, &mut sink);
-        assert_eq!(mask, vec![true, true]);
+        assert_eq!(mask(&mut bank, &replicas, 100.0), vec![true, true]);
     }
 
     #[test]
@@ -373,15 +376,17 @@ mod tests {
             crate::poisson_requests(&spec, 1, 1.0, 1).remove(0),
             0.1,
         ));
-        let mut sink = NullSink;
-        let mask = bank.mask(&replicas, 100.0, &mut sink);
-        assert_eq!(mask, vec![false, true], "quiet replica with work is quarantined");
+        assert_eq!(
+            mask(&mut bank, &replicas, 100.0),
+            vec![false, true],
+            "quiet replica with work is quarantined"
+        );
         // Still quarantined inside probation...
         let probation = DetectorPolicy::standard().probation_s;
-        assert_eq!(bank.mask(&replicas, 100.0 + probation / 2.0, &mut sink), vec![false, true]);
+        assert_eq!(mask(&mut bank, &replicas, 100.0 + probation / 2.0), vec![false, true]);
         // ...re-admitted after, with a cleared window (no instant re-trip).
-        assert_eq!(bank.mask(&replicas, 100.0 + probation, &mut sink), vec![true, true]);
-        assert_eq!(bank.mask(&replicas, 101.0 + probation, &mut sink), vec![true, true]);
+        assert_eq!(mask(&mut bank, &replicas, 100.0 + probation), vec![true, true]);
+        assert_eq!(mask(&mut bank, &replicas, 101.0 + probation), vec![true, true]);
     }
 
     #[test]
@@ -393,9 +398,11 @@ mod tests {
             bank.observe(2, t as f64 * 1.0); // 10× slower than its peers
         }
         let replicas = idle_fleet(3);
-        let mut sink = NullSink;
-        let mask = bank.mask(&replicas, 19.01, &mut sink);
-        assert_eq!(mask, vec![true, true, false], "gray replica quarantined without silence");
+        assert_eq!(
+            mask(&mut bank, &replicas, 19.01),
+            vec![true, true, false],
+            "gray replica quarantined without silence"
+        );
     }
 
     #[test]

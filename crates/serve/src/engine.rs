@@ -108,18 +108,17 @@ struct RetryEntry {
     request: ServeRequest,
 }
 
-/// Inserts keeping (retry_s asc, id asc) order.
-fn push_retry(retries: &mut Vec<RetryEntry>, entry: RetryEntry) {
-    let pos = retries
+/// Inserts `entry` keeping `queue` in (time asc, request id asc) order,
+/// with both read by `key`.
+fn insert_sorted<T>(queue: &mut Vec<T>, entry: T, key: fn(&T) -> (f64, u64)) {
+    let (t, id) = key(&entry);
+    let pos = queue
         .binary_search_by(|probe| {
-            probe
-                .retry_s
-                .partial_cmp(&entry.retry_s)
-                .expect("finite retry times")
-                .then(probe.request.id.cmp(&entry.request.id))
+            let (probe_t, probe_id) = key(probe);
+            probe_t.partial_cmp(&t).expect("finite event times").then(probe_id.cmp(&id))
         })
         .unwrap_or_else(|e| e);
-    retries.insert(pos, entry);
+    queue.insert(pos, entry);
 }
 
 /// A scheduled hedge check: if the request is still in flight when the
@@ -132,42 +131,6 @@ struct HedgeEntry {
     request: ServeRequest,
     /// Solo service estimate cached at admission.
     est_service_s: f64,
-}
-
-/// Inserts keeping (fire_s asc, id asc) order.
-fn push_hedge(hedges: &mut Vec<HedgeEntry>, entry: HedgeEntry) {
-    let pos = hedges
-        .binary_search_by(|probe| {
-            probe
-                .fire_s
-                .partial_cmp(&entry.fire_s)
-                .expect("finite hedge times")
-                .then(probe.request.id.cmp(&entry.request.id))
-        })
-        .unwrap_or_else(|e| e);
-    hedges.insert(pos, entry);
-}
-
-/// Settles open→half-open breaker transitions as of `now` (emitting the
-/// finished open interval) and returns the routable mask, or `None` when
-/// breakers are disabled.
-fn settle_breakers<S: TraceSink>(
-    breakers: &mut Option<Vec<CircuitBreaker>>,
-    now: f64,
-    sink: &mut S,
-) -> Option<Vec<bool>> {
-    let bs = breakers.as_mut()?;
-    let mut mask = Vec::with_capacity(bs.len());
-    for (i, b) in bs.iter_mut().enumerate() {
-        if let Some(BreakerEvent::HalfOpened { since_s, at_s }) = b.tick(now) {
-            if S::ENABLED {
-                let track = TrackId::new(i as u32, Module::Breaker);
-                sink.span(track, "open", since_s, at_s, SpanClass::Control, true);
-            }
-        }
-        mask.push(b.routable());
-    }
-    Some(mask)
 }
 
 /// Applies a brownout transition to replica `i` and emits the level-change
@@ -245,6 +208,12 @@ struct EngineState<'a> {
     overload_on: bool,
     controllers: Option<Vec<BrownoutController>>,
     breakers: Option<Vec<CircuitBreaker>>,
+    /// The routable set: whether each replica may take routed work as
+    /// far as the gates (breakers, autoscaler warm-up, detector
+    /// quarantine) are concerned; `up` is checked separately. Refreshed
+    /// by [`Self::refresh_routable`] before every routing decision, and
+    /// all `true` for good when no gate is configured.
+    routable: Vec<bool>,
     hedges: Vec<HedgeEntry>,
     /// Hedged requests with two live copies: id → primary replica at
     /// hedge-dispatch time (lookup only, never iterated — determinism).
@@ -340,6 +309,7 @@ impl<'a> EngineState<'a> {
             overload_on,
             controllers,
             breakers,
+            routable: vec![true; cfg.replicas],
             hedges: Vec::new(),
             hedged_live: HashMap::new(),
             lat_window: Vec::new(),
@@ -362,6 +332,13 @@ impl<'a> EngineState<'a> {
             re_prefills: 0,
             session_turns_shed: 0,
         }
+    }
+
+    /// Whether `request` is a turn of a session that already shed a turn
+    /// (and so can never complete).
+    fn session_lost(&self, request: &ServeRequest) -> bool {
+        self.session_on
+            && request.session.is_some_and(|turn| self.lost_sessions.contains(&turn.session))
     }
 
     /// Records a shed session turn: the whole session is lost (its prefix
@@ -413,28 +390,86 @@ impl<'a> EngineState<'a> {
         }
     }
 
-    /// Routable-replica mask: breaker state ANDed with the autoscaler's
-    /// enabled-and-warmed set ANDed with the failure detector's
-    /// quarantine state. `None` when all three mechanisms are off — the
-    /// exact pre-tenancy expression, so the disabled path stays bitwise.
-    fn routable_mask<S: TraceSink>(&mut self, now: f64, sink: &mut S) -> Option<Vec<bool>> {
-        let breaker = settle_breakers(&mut self.breakers, now, sink);
-        let det = match self.detector.as_mut() {
-            Some(d) => Some(d.mask(&self.replicas, now, sink)),
-            None => None,
-        };
+    /// Refreshes the routable set as of `now`: a replica is routable when
+    /// its breaker passes traffic, the detector has not quarantined it,
+    /// and the autoscaler has it enabled and warmed. The side effects run
+    /// in a fixed order: every breaker ticks (closing its finished `open`
+    /// span), then the detector advances. With no gate configured the set
+    /// stays all `true` and this returns at once, so ungated routing
+    /// stays O(1) for round-robin.
+    fn refresh_routable<S: TraceSink>(&mut self, now: f64, sink: &mut S) {
         let scaler = self.tenancy.as_ref().and_then(|t| t.scaler.as_ref());
-        match (&breaker, scaler, &det) {
-            (None, None, None) => None,
-            (_, scaler, _) => Some(
-                (0..self.replicas.len())
-                    .map(|i| {
-                        breaker.as_ref().is_none_or(|m| m[i])
-                            && scaler.is_none_or(|s| s.routable(i, now))
-                            && det.as_ref().is_none_or(|m| m[i])
-                    })
-                    .collect(),
-            ),
+        if self.breakers.is_none() && self.detector.is_none() && scaler.is_none() {
+            return;
+        }
+        match self.breakers.as_mut() {
+            Some(bs) => {
+                for (i, b) in bs.iter_mut().enumerate() {
+                    if let Some(BreakerEvent::HalfOpened { since_s, at_s }) = b.tick(now) {
+                        if S::ENABLED {
+                            let track = TrackId::new(i as u32, Module::Breaker);
+                            sink.span(track, "open", since_s, at_s, SpanClass::Control, true);
+                        }
+                    }
+                    self.routable[i] = b.routable();
+                }
+            }
+            None => self.routable.fill(true),
+        }
+        if let Some(d) = self.detector.as_mut() {
+            d.mask(&self.replicas, now, sink, &mut self.routable);
+        }
+        if let Some(scaler) = scaler {
+            for (i, ok) in self.routable.iter_mut().enumerate() {
+                *ok &= scaler.routable(i, now);
+            }
+        }
+    }
+
+    /// Session re-prefill charge for placing `request` on `target`: a
+    /// session turn landing anywhere but its resident replica (including
+    /// every session's first turn) rebuilds the prefix state before it
+    /// can decode. Zero for everything else.
+    fn re_prefill_s(&mut self, request: &ServeRequest, target: usize) -> f64 {
+        if self.session_on {
+            if let Some(turn) = &request.session {
+                if self.sessions.get(&turn.session) != Some(&target) {
+                    return self.cost.session_prefill_s(&self.system, request);
+                }
+            }
+        }
+        0.0
+    }
+
+    /// Service still owed by `request` resuming at layer `cursor`: the
+    /// remaining layers plus, past layer 0, the fresh weight upload the
+    /// resume pays.
+    fn resume_service_s(&mut self, request: &ServeRequest, cursor: usize) -> f64 {
+        self.cost.remaining_service_s(&self.system, request, cursor)
+            + if cursor > 0 { self.system.weight_upload_s() } else { 0.0 }
+    }
+
+    /// Places `pending` on replica `target`, the tail shared by dispatch,
+    /// retry and hedge: enqueue, record session residency (with its
+    /// `session-re-prefill` instant), mark the replica touched, and let a
+    /// half-open breaker spend its probe.
+    fn place<S: TraceSink>(&mut self, target: usize, pending: Pending, now: f64, sink: &mut S) {
+        let (session, re_prefill_s) = (pending.request.session, pending.re_prefill_s);
+        self.replicas[target].enqueue(pending);
+        if self.session_on {
+            if let Some(turn) = session {
+                let account = self.cfg.sessions.as_ref().is_some_and(|p| p.account_state);
+                let hold_s = if account { re_prefill_s } else { 0.0 };
+                self.place_session(turn.session, turn.turn, target, hold_s);
+                if S::ENABLED && re_prefill_s > 0.0 && turn.turn > 0 {
+                    let track = TrackId::new(target as u32, Module::Runtime);
+                    sink.instant(track, "session-re-prefill", now);
+                }
+            }
+        }
+        self.touch(target);
+        if let Some(bs) = self.breakers.as_mut() {
+            bs[target].on_dispatch();
         }
     }
 
@@ -443,7 +478,7 @@ impl<'a> EngineState<'a> {
         if self.record {
             self.retry_added.push((entry.retry_s, entry.request.id));
         }
-        push_retry(&mut self.retries, entry);
+        insert_sorted(&mut self.retries, entry, |r| (r.retry_s, r.request.id));
     }
 
     /// Marks replica `i`'s next step time as possibly changed.
@@ -551,9 +586,7 @@ impl<'a> EngineState<'a> {
                 // budget.
                 if cfg.admission.enforce_deadlines {
                     if let Some(d) = p.request.class.deadline_s {
-                        let mut remaining =
-                            self.cost.remaining_service_s(&self.system, &p.request, cursor)
-                                + if cursor > 0 { self.system.weight_upload_s() } else { 0.0 };
+                        let mut remaining = self.resume_service_s(&p.request, cursor);
                         if p.request.session.is_some() {
                             remaining += self.cost.session_prefill_s(&self.system, &p.request);
                         }
@@ -589,29 +622,25 @@ impl<'a> EngineState<'a> {
         // Lost-session fast path: a session that already shed a turn can
         // never complete, so later turns shed before touching any routing
         // or admission state.
-        if self.session_on {
-            if let Some(turn) = &request.session {
-                if self.lost_sessions.contains(&turn.session) {
-                    if S::ENABLED {
-                        let track = TrackId::new(0, Module::Runtime);
-                        sink.instant(track, "shed-session-lost", now);
-                    }
-                    self.shed_request(request, ShedReason::SessionLost, 0);
-                    return Dispatch::Shed;
-                }
+        if self.session_lost(request) {
+            if S::ENABLED {
+                let track = TrackId::new(0, Module::Runtime);
+                sink.instant(track, "shed-session-lost", now);
             }
+            self.shed_request(request, ShedReason::SessionLost, 0);
+            return Dispatch::Shed;
         }
-        let mask = self.routable_mask(now, sink);
+        self.refresh_routable(now, sink);
         // Sticky routing: a turn of a resident session goes back to the
         // replica holding its compression state, under the same
-        // eligibility `choose` applies (up, not masked out). An ineligible
+        // eligibility `choose` applies (up and routable). An ineligible
         // holder falls through to the configured policy — and pays the
         // re-prefill below.
         let sticky = if self.session_on && cfg.sessions.as_ref().is_some_and(|p| p.sticky) {
             request
                 .session
                 .and_then(|turn| self.sessions.get(&turn.session).copied())
-                .filter(|&i| self.replicas[i].up && mask.as_ref().is_none_or(|m| m[i]))
+                .filter(|&i| self.replicas[i].up && self.routable[i])
         } else {
             None
         };
@@ -622,7 +651,7 @@ impl<'a> EngineState<'a> {
                 &mut self.cost,
                 now,
                 &mut self.rr_cursor,
-                mask.as_deref(),
+                &self.routable,
             ),
         };
         let Some(target) = chosen else {
@@ -640,19 +669,10 @@ impl<'a> EngineState<'a> {
             return Dispatch::Shed;
         };
         let mut est_service_s = self.cost.request_service_s(&self.system, request);
-        // A turn landing anywhere but its resident replica (including
-        // every session's first turn) rebuilds the prefix state before it
-        // can decode; the debt rides both the admission estimate and the
+        // The re-prefill debt rides both the admission estimate and the
         // queued entry.
-        let mut re_prefill_s = 0.0;
-        if self.session_on {
-            if let Some(turn) = &request.session {
-                if self.sessions.get(&turn.session) != Some(&target) {
-                    re_prefill_s = self.cost.session_prefill_s(&self.system, request);
-                    est_service_s += re_prefill_s;
-                }
-            }
-        }
+        let re_prefill_s = self.re_prefill_s(request, target);
+        est_service_s += re_prefill_s;
         let est_wait_s = self.replicas[target].outstanding_s(&mut self.cost, now);
         // A held request has already aged in the fair queue; its deadline
         // budget shrinks accordingly. The guard keeps the direct path
@@ -667,26 +687,9 @@ impl<'a> EngineState<'a> {
             est_latency_s,
         ) {
             Ok(()) => {
-                let mut pending = Pending::fresh(request.clone(), est_service_s);
-                if re_prefill_s > 0.0 {
-                    pending.re_prefill_s = re_prefill_s;
-                }
-                self.replicas[target].enqueue(pending);
-                if self.session_on {
-                    if let Some(turn) = &request.session {
-                        let account = cfg.sessions.as_ref().is_some_and(|p| p.account_state);
-                        let hold_s = if account { re_prefill_s } else { 0.0 };
-                        self.place_session(turn.session, turn.turn, target, hold_s);
-                        if S::ENABLED && re_prefill_s > 0.0 && turn.turn > 0 {
-                            let track = TrackId::new(target as u32, Module::Runtime);
-                            sink.instant(track, "session-re-prefill", now);
-                        }
-                    }
-                }
-                self.touch(target);
-                if let Some(bs) = self.breakers.as_mut() {
-                    bs[target].on_dispatch();
-                }
+                let pending =
+                    Pending { re_prefill_s, ..Pending::fresh(request.clone(), est_service_s) };
+                self.place(target, pending, now, sink);
                 // Deadline-bearing admissions arm a hedge timer at the
                 // windowed-p99 delay; the check fires only if the request
                 // is still in flight then. Session turns never hedge — a
@@ -698,10 +701,8 @@ impl<'a> EngineState<'a> {
                         if self.record {
                             self.hedge_added.push((fire_s, request.id));
                         }
-                        push_hedge(
-                            &mut self.hedges,
-                            HedgeEntry { fire_s, request: request.clone(), est_service_s },
-                        );
+                        let entry = HedgeEntry { fire_s, request: request.clone(), est_service_s };
+                        insert_sorted(&mut self.hedges, entry, |h| (h.fire_s, h.request.id));
                     }
                 }
                 if S::ENABLED {
@@ -873,69 +874,40 @@ impl<'a> EngineState<'a> {
         // A later turn of the same session may have shed while this one
         // waited out its backoff; the session is already lost, so placing
         // the requeue would waste fleet time on a dead session.
-        if self.session_on {
-            if let Some(turn) = &entry.request.session {
-                if self.lost_sessions.contains(&turn.session) {
-                    self.shed_request(&entry.request, ShedReason::SessionLost, entry.attempt);
-                    return;
-                }
-            }
+        if self.session_lost(&entry.request) {
+            self.shed_request(&entry.request, ShedReason::SessionLost, entry.attempt);
+            return;
         }
-        let mask = self.routable_mask(now, sink);
+        self.refresh_routable(now, sink);
         match cfg.routing.choose(
             &mut self.replicas,
             &mut self.cost,
             now,
             &mut self.rr_cursor,
-            mask.as_deref(),
+            &self.routable,
         ) {
             Some(target) => {
                 // A requeue was already admitted once; it re-enters the
                 // queue directly (no depth shedding) with a remaining-work
                 // estimate that charges the fresh weight upload its resume
-                // will pay.
-                let mut est_service_s =
-                    self.cost.remaining_service_s(&self.system, &entry.request, entry.cursor)
-                        + if entry.cursor > 0 { self.system.weight_upload_s() } else { 0.0 };
-                // A crash-evicted session turn re-prefills on its new
-                // replica (its residency died with the crashed one).
-                let mut re_prefill_s = 0.0;
-                if self.session_on {
-                    if let Some(turn) = &entry.request.session {
-                        if self.sessions.get(&turn.session) != Some(&target) {
-                            re_prefill_s =
-                                self.cost.session_prefill_s(&self.system, &entry.request);
-                            est_service_s += re_prefill_s;
-                        }
-                    }
-                }
+                // will pay. A crash-evicted session turn also re-prefills
+                // on its new replica (its residency died with the crashed
+                // one).
+                let mut est_service_s = self.resume_service_s(&entry.request, entry.cursor);
+                let re_prefill_s = self.re_prefill_s(&entry.request, target);
+                est_service_s += re_prefill_s;
                 if S::ENABLED {
                     let track = TrackId::new(target as u32, Module::Runtime);
                     sink.instant(track, "requeue-placed", now);
                 }
-                let session_turn = entry.request.session;
-                self.replicas[target].enqueue(Pending {
+                let pending = Pending {
                     request: entry.request,
                     est_service_s,
                     resume_cursor: entry.cursor,
                     attempt: entry.attempt,
                     re_prefill_s,
-                });
-                if self.session_on {
-                    if let Some(turn) = &session_turn {
-                        let account = cfg.sessions.as_ref().is_some_and(|p| p.account_state);
-                        let hold_s = if account { re_prefill_s } else { 0.0 };
-                        self.place_session(turn.session, turn.turn, target, hold_s);
-                        if S::ENABLED && re_prefill_s > 0.0 && turn.turn > 0 {
-                            let track = TrackId::new(target as u32, Module::Runtime);
-                            sink.instant(track, "session-re-prefill", now);
-                        }
-                    }
-                }
-                self.touch(target);
-                if let Some(bs) = self.breakers.as_mut() {
-                    bs[target].on_dispatch();
-                }
+                };
+                self.place(target, pending, now, sink);
             }
             None => {
                 // Still no healthy replica: consume another attempt or
@@ -971,26 +943,22 @@ impl<'a> EngineState<'a> {
         // Still in flight? (Not found anywhere = completed, shed, or
         // waiting out a retry backoff — no hedge then.)
         if let Some(primary) = self.replicas.iter().position(|r| r.holds_request(id)) {
-            let breaker_mask = self.routable_mask(now, sink);
+            self.refresh_routable(now, sink);
             // The copy must land on a *different* replica than the one
-            // holding the slow primary.
-            let mask: Vec<bool> = (0..self.replicas.len())
-                .map(|i| i != primary && breaker_mask.as_ref().is_none_or(|m| m[i]))
-                .collect();
-            if let Some(target) = cfg.routing.choose(
+            // holding the slow primary: bar it for this one decision.
+            let primary_routable = std::mem::replace(&mut self.routable[primary], false);
+            let chosen = cfg.routing.choose(
                 &mut self.replicas,
                 &mut self.cost,
                 now,
                 &mut self.rr_cursor,
-                Some(&mask),
-            ) {
+                &self.routable,
+            );
+            self.routable[primary] = primary_routable;
+            if let Some(target) = chosen {
                 // Hedge copies bypass admission: the request was already
                 // admitted once; the copy exists purely to cut its tail.
-                self.replicas[target].enqueue(Pending::fresh(entry.request, entry.est_service_s));
-                self.touch(target);
-                if let Some(bs) = self.breakers.as_mut() {
-                    bs[target].on_dispatch();
-                }
+                self.place(target, Pending::fresh(entry.request, entry.est_service_s), now, sink);
                 self.hedged += 1;
                 self.hedged_live.insert(id, primary);
                 if S::ENABLED {
@@ -1171,30 +1139,14 @@ impl<'a> EngineState<'a> {
         if S::ENABLED {
             if let Some(bs) = self.breakers.as_ref() {
                 for (i, b) in bs.iter().enumerate() {
+                    let (name, since_s) = match b.state() {
+                        BreakerState::Open { since_s, .. } => ("open", since_s),
+                        BreakerState::HalfOpen { since_s, .. } => ("half-open", since_s),
+                        BreakerState::Closed { .. } => continue,
+                    };
                     let track = TrackId::new(i as u32, Module::Breaker);
-                    match b.state() {
-                        BreakerState::Open { since_s, .. } => {
-                            sink.span(
-                                track,
-                                "open",
-                                since_s,
-                                makespan_s.max(since_s),
-                                SpanClass::Control,
-                                true,
-                            );
-                        }
-                        BreakerState::HalfOpen { since_s, .. } => {
-                            sink.span(
-                                track,
-                                "half-open",
-                                since_s,
-                                makespan_s.max(since_s),
-                                SpanClass::Control,
-                                true,
-                            );
-                        }
-                        BreakerState::Closed { .. } => {}
-                    }
+                    let end = makespan_s.max(since_s);
+                    sink.span(track, name, since_s, end, SpanClass::Control, true);
                 }
             }
         }

@@ -38,28 +38,27 @@ impl RoutingPolicy {
         }
     }
 
-    /// Selects the replica for a request arriving at `now`, considering
-    /// only healthy (`up`) replicas — arrivals never land on a down
-    /// replica. When `routable` is given (the circuit-breaker mask, and
-    /// the hedge dispatcher's primary-exclusion mask), replicas whose
-    /// entry is `false` are skipped too: up but breaker-blocked replicas
-    /// take no routed traffic. Returns `None` when no replica is
-    /// eligible. `rr_cursor` is the round-robin state, advanced only by
-    /// that policy.
+    /// Selects the replica for a request arriving at `now` among the
+    /// eligible ones: replica `i` is eligible when it is `up` — arrivals
+    /// never land on a down replica — and `routable[i]` holds. The engine
+    /// passes its one routable set, where the gates (breakers, autoscaler
+    /// warm-up, detector quarantine) clear entries and the hedge
+    /// dispatcher briefly clears the primary's. Returns `None` when no
+    /// replica is eligible. `rr_cursor` is the round-robin state,
+    /// advanced only by that policy.
     ///
-    /// With every replica up and no mask (the fault-free,
-    /// overload-control-off path) the picks are identical to the
-    /// health-unaware policies, so healthy runs stay
-    /// bitwise-reproducible.
+    /// With every replica up and every entry `true` (the fault-free,
+    /// ungated path) the picks are identical to the health-unaware
+    /// policies, so healthy runs stay bitwise-reproducible.
     pub(crate) fn choose(
         &self,
         replicas: &mut [Replica],
         cost: &mut CostModel,
         now: f64,
         rr_cursor: &mut usize,
-        routable: Option<&[bool]>,
+        routable: &[bool],
     ) -> Option<usize> {
-        let eligible = |i: usize, r: &Replica| r.up && routable.is_none_or(|mask| mask[i]);
+        let eligible = |i: usize, r: &Replica| r.up && routable[i];
         match self {
             RoutingPolicy::RoundRobin => {
                 let n = replicas.len();
@@ -82,7 +81,7 @@ impl RoutingPolicy {
                 let mut best: Option<usize> = None;
                 let mut best_work = f64::INFINITY;
                 for (i, r) in replicas.iter_mut().enumerate() {
-                    if !(r.up && routable.is_none_or(|mask| mask[i])) {
+                    if !eligible(i, r) {
                         continue;
                     }
                     let work = r.outstanding_s(cost, now);
@@ -119,6 +118,9 @@ mod tests {
         )
     }
 
+    /// The ungated routable set: every replica passes.
+    const ALL: &[bool] = &[true; 4];
+
     #[test]
     fn parse_round_trips_labels() {
         for p in [
@@ -137,7 +139,7 @@ mod tests {
         let mut cost = CostModel::new();
         let mut cursor = 0;
         let picks: Vec<Option<usize>> = (0..6)
-            .map(|_| RoutingPolicy::RoundRobin.choose(&mut rs, &mut cost, 0.0, &mut cursor, None))
+            .map(|_| RoutingPolicy::RoundRobin.choose(&mut rs, &mut cost, 0.0, &mut cursor, ALL))
             .collect();
         assert_eq!(picks, vec![Some(0), Some(1), Some(2), Some(0), Some(1), Some(2)]);
     }
@@ -149,7 +151,7 @@ mod tests {
         let mut cost = CostModel::new();
         let mut cursor = 0;
         let picks: Vec<Option<usize>> = (0..4)
-            .map(|_| RoutingPolicy::RoundRobin.choose(&mut rs, &mut cost, 0.0, &mut cursor, None))
+            .map(|_| RoutingPolicy::RoundRobin.choose(&mut rs, &mut cost, 0.0, &mut cursor, ALL))
             .collect();
         assert_eq!(picks, vec![Some(0), Some(2), Some(0), Some(2)]);
     }
@@ -166,7 +168,7 @@ mod tests {
             RoutingPolicy::JoinShortestQueue,
             RoutingPolicy::LeastOutstandingWork,
         ] {
-            assert_eq!(p.choose(&mut rs, &mut cost, 0.0, &mut cursor, None), None);
+            assert_eq!(p.choose(&mut rs, &mut cost, 0.0, &mut cursor, ALL), None);
         }
     }
 
@@ -179,11 +181,11 @@ mod tests {
         let mut cost = CostModel::new();
         let mut cursor = 0;
         assert_eq!(
-            RoutingPolicy::JoinShortestQueue.choose(&mut rs, &mut cost, 0.0, &mut cursor, None),
+            RoutingPolicy::JoinShortestQueue.choose(&mut rs, &mut cost, 0.0, &mut cursor, ALL),
             Some(1)
         );
         assert_eq!(
-            RoutingPolicy::LeastOutstandingWork.choose(&mut rs, &mut cost, 0.0, &mut cursor, None),
+            RoutingPolicy::LeastOutstandingWork.choose(&mut rs, &mut cost, 0.0, &mut cursor, ALL),
             Some(1)
         );
     }
@@ -196,7 +198,7 @@ mod tests {
         let mut cost = CostModel::new();
         let mut cursor = 0;
         let pick =
-            RoutingPolicy::JoinShortestQueue.choose(&mut rs, &mut cost, 0.0, &mut cursor, None);
+            RoutingPolicy::JoinShortestQueue.choose(&mut rs, &mut cost, 0.0, &mut cursor, ALL);
         assert_eq!(pick, Some(1));
     }
 
@@ -213,11 +215,11 @@ mod tests {
         let mut cost = CostModel::new();
         let mut cursor = 0;
         assert_eq!(
-            RoutingPolicy::JoinShortestQueue.choose(&mut rs, &mut cost, 0.0, &mut cursor, None),
+            RoutingPolicy::JoinShortestQueue.choose(&mut rs, &mut cost, 0.0, &mut cursor, ALL),
             Some(0)
         );
         assert_eq!(
-            RoutingPolicy::LeastOutstandingWork.choose(&mut rs, &mut cost, 0.0, &mut cursor, None),
+            RoutingPolicy::LeastOutstandingWork.choose(&mut rs, &mut cost, 0.0, &mut cursor, ALL),
             Some(1)
         );
     }
@@ -236,12 +238,12 @@ mod tests {
         ] {
             let mut cursor = 0;
             assert_eq!(
-                p.choose(&mut rs, &mut cost, 0.0, &mut cursor, Some(&[false, true])),
+                p.choose(&mut rs, &mut cost, 0.0, &mut cursor, &[false, true]),
                 Some(1),
                 "{p:?} must skip the masked replica"
             );
             assert_eq!(
-                p.choose(&mut rs, &mut cost, 0.0, &mut cursor, Some(&[false, false])),
+                p.choose(&mut rs, &mut cost, 0.0, &mut cursor, &[false, false]),
                 None,
                 "{p:?} must route nowhere under an all-false mask"
             );
@@ -254,11 +256,11 @@ mod tests {
         let mut cost = CostModel::new();
         let mut cursor = 0;
         assert_eq!(
-            RoutingPolicy::JoinShortestQueue.choose(&mut rs, &mut cost, 0.0, &mut cursor, None),
+            RoutingPolicy::JoinShortestQueue.choose(&mut rs, &mut cost, 0.0, &mut cursor, ALL),
             Some(0)
         );
         assert_eq!(
-            RoutingPolicy::LeastOutstandingWork.choose(&mut rs, &mut cost, 0.0, &mut cursor, None),
+            RoutingPolicy::LeastOutstandingWork.choose(&mut rs, &mut cost, 0.0, &mut cursor, ALL),
             Some(0)
         );
     }

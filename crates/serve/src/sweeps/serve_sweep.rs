@@ -260,6 +260,9 @@ impl Args {
         if args.replicas.is_empty() || args.loads.is_empty() {
             return Err("empty sweep: --replicas and --loads must be non-empty".into());
         }
+        if args.loads.iter().any(|l| !(*l > 0.0 && l.is_finite())) {
+            return Err("--loads must be a non-empty list of positive numbers".into());
+        }
         if args.batch == 0 {
             return Err("--batch must be positive".into());
         }
@@ -537,6 +540,12 @@ mod tests {
         assert!(parse(&["--seed"]).unwrap_err().contains("needs a value"));
         assert!(parse(&["--routing", "chaotic"]).unwrap_err().contains("unknown routing policy"));
         assert!(parse(&["--loads", "0.5,oops"]).unwrap_err().contains("--loads"));
+        for bad in ["0", "-1", "nan", "inf", "0.5,0"] {
+            assert!(
+                parse(&["--loads", bad]).unwrap_err().contains("positive numbers"),
+                "--loads {bad} must be rejected"
+            );
+        }
         assert!(parse(&["--faults", "5"]).unwrap_err().contains("mtbf"));
         assert!(parse(&["--faults", "0:1"]).unwrap_err().contains("positive"));
         assert!(parse(&["--replicas", "0"]).unwrap_err().contains("positive"));

@@ -47,6 +47,17 @@ fn serve_sweep_rejects_unparseable_numbers() {
 }
 
 #[test]
+fn serve_sweep_rejects_non_positive_and_non_finite_loads() {
+    // These used to reach the load generator and panic inside a pool
+    // worker (exit status 101).
+    for bad in ["0", "nan"] {
+        let args = ["--loads", bad];
+        assert_graceful_failure(SERVE_SWEEP, &args, "--loads must be a non-empty list");
+        assert_eq!(run(SERVE_SWEEP, &args).status.code(), Some(1), "--loads {bad}");
+    }
+}
+
+#[test]
 fn serve_sweep_rejects_malformed_fault_specs() {
     assert_graceful_failure(SERVE_SWEEP, &["--faults", "5"], "mtbf");
     assert_graceful_failure(SERVE_SWEEP, &["--faults", "abc:1"], "number");

@@ -1,8 +1,10 @@
 //! Golden-file pinning for the sweep binaries.
 //!
-//! Every test here runs a real binary (via `CARGO_BIN_EXE_*`) in a
-//! scratch directory and compares its output **byte for byte** against
-//! files committed under `tests/golden/`. This is the enforcement arm of
+//! Every test here but one runs a real binary (via `CARGO_BIN_EXE_*`)
+//! in a scratch directory and compares its output **byte for byte**
+//! against files committed under `tests/golden/`. The combined-gates pin
+//! drives the library directly, since no sweep binary arms every routing
+//! gate at once. This is the enforcement arm of
 //! the overload-control contract: with `OverloadControl::off()` (the
 //! default for `serve_sweep` / `degradation_sweep`, and the `off` half of
 //! every `brownout_sweep` pair) the fleet must reproduce the pre-change
@@ -16,6 +18,15 @@
 
 use std::path::{Path, PathBuf};
 use std::process::Command;
+
+use cta_serve::{
+    poisson_requests, simulate_fleet_traced, AdmissionPolicy, AutoscalePolicy, BatchPolicy,
+    CostModel, CrashWindow, DetectorPolicy, FaultPlan, FleetConfig, FleetEngine, FleetReport,
+    GrayFailure, LoadSpec, OverloadControl, Partition, QosClass, RoutingPolicy, SchedulerPolicy,
+    ServeRequest, TenancyConfig,
+};
+use cta_sim::{AttentionTask, CtaSystem, SystemConfig};
+use cta_telemetry::{chrome_trace_json, RingBufferSink};
 
 // ---------------------------------------------------------------------------
 // Minimal SHA-256 (FIPS 180-4), enough to check the pinned trace digests.
@@ -379,6 +390,96 @@ fn brownout_sweep_event_engine_reproduces_the_pins() {
     );
     assert_bytes_match_golden(&dir, "results/brownout_sweep.csv", "brownout_sweep.csv");
     assert_trace_matches_pin(&dir, "brownout_trace.json");
+}
+
+// ---------------------------------------------------------------------------
+// Combined routing gates
+// ---------------------------------------------------------------------------
+
+/// One fleet with every routing gate armed at once: circuit breakers
+/// (plus hedging and brownout, via `OverloadControl::standard()`), a
+/// reactive autoscaler behind a two-tenant DRR front end, and the
+/// failure detector, over crash, partition and gray faults. Both drivers
+/// share these handlers, so the step-vs-event tests cannot catch a
+/// mistake in how the gates combine; the trace digest can.
+fn combined_gates_run(engine: FleetEngine) -> (FleetReport, Vec<u8>) {
+    let task = AttentionTask::from_counts(128, 128, 64, 50, 40, 20, 6);
+    let mut spec = LoadSpec::standard(task, 3, 4);
+    let solo = {
+        let probe = poisson_requests(&spec, 1, 1.0, 0);
+        CostModel::new().request_service_s(&CtaSystem::new(SystemConfig::paper()), &probe[0])
+    };
+    spec.class = QosClass::interactive(200.0 * solo);
+    let replicas = 4;
+    let requests: Vec<ServeRequest> = poisson_requests(&spec, 240, 1.5 * replicas as f64 / solo, 9)
+        .into_iter()
+        .map(|r| {
+            let tenant = (r.id % 2) as u32;
+            r.with_tenant(tenant)
+        })
+        .collect();
+    let span = requests.last().expect("nonempty").arrival_s;
+
+    let mut cfg = FleetConfig::sharded(SystemConfig::paper(), replicas);
+    cfg.engine = engine;
+    cfg.routing = RoutingPolicy::JoinShortestQueue;
+    cfg.batch = BatchPolicy::up_to(4);
+    cfg.admission = AdmissionPolicy::bounded(16);
+    cfg.overload = OverloadControl::standard();
+    cfg.faults = FaultPlan {
+        crashes: vec![
+            CrashWindow { replica: 0, down_s: 0.100 * span, up_s: Some(0.105 * span) },
+            CrashWindow { replica: 0, down_s: 0.110 * span, up_s: Some(0.115 * span) },
+            CrashWindow { replica: 0, down_s: 0.120 * span, up_s: Some(0.300 * span) },
+        ],
+        partitions: vec![Partition { replica: 1, from_s: 0.45 * span, until_s: 0.60 * span }],
+        gray: vec![GrayFailure {
+            replica: 2,
+            from_s: 0.60 * span,
+            until_s: 0.90 * span,
+            severity: 8.0,
+            seed: 9,
+        }],
+        ..FaultPlan::none()
+    };
+    let mut tenancy = TenancyConfig::equal_weight(2, SchedulerPolicy::Drr);
+    tenancy.autoscale = Some(AutoscalePolicy::reactive(2, replicas, span / 40.0));
+    cfg.tenancy = Some(tenancy);
+    let mut detector = DetectorPolicy::standard();
+    detector.phi_threshold = 2.0;
+    detector.window = 8;
+    detector.min_samples = 3;
+    detector.probation_s = 0.05 * span;
+    cfg.detector = Some(detector);
+
+    let mut sink = RingBufferSink::with_capacity(1 << 18);
+    let mut report = simulate_fleet_traced(&cfg, &requests, &mut sink);
+    assert_eq!(sink.dropped(), 0, "the trace must fit the ring buffer");
+    report.event_queue_samples.clear();
+    (report, chrome_trace_json(&sink.events()).into_bytes())
+}
+
+/// The combined-gates run fires every mechanism, and its trace is
+/// pinned by digest under both drivers.
+#[test]
+fn combined_gates_traced_run_is_bitwise_pinned() {
+    let (step, trace) = combined_gates_run(FleetEngine::StepGranular);
+    let m = &step.metrics;
+    assert!(m.overload.breaker_opens > 0, "a breaker must open: {:?}", m.overload);
+    assert!(m.overload.hedged > 0, "deadline traffic must hedge: {:?}", m.overload);
+    let detector = m.detector.as_ref().expect("detector stats");
+    assert!(detector.quarantines > 0, "the detector must quarantine: {detector:?}");
+    let tenancy = m.tenancy.as_ref().expect("tenancy stats");
+    assert!(tenancy.scale_ups > 0, "the autoscaler must scale up: {tenancy:?}");
+    assert_eq!(
+        sha256_hex(&trace),
+        pinned_digest("combined_gates_trace.json"),
+        "the combined-gates trace drifted from its pinned digest"
+    );
+
+    let (event, event_trace) = combined_gates_run(FleetEngine::EventDriven);
+    assert_eq!(event, step, "drivers diverged under the combined gates");
+    assert!(event_trace == trace, "event-driver trace differs from the step driver's");
 }
 
 // ---------------------------------------------------------------------------
