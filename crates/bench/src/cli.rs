@@ -61,6 +61,25 @@ impl FlagParser {
     pub fn value(&mut self, flag: &str) -> Result<String, String> {
         self.it.next().ok_or_else(|| format!("{flag} needs a value"))
     }
+
+    /// The value following `flag`, parsed via [`parse_num`].
+    ///
+    /// # Errors
+    ///
+    /// Returns the [`value`](Self::value) or [`parse_num`] error.
+    pub fn num<T: std::str::FromStr>(&mut self, flag: &str, kind: &str) -> Result<T, String> {
+        parse_num(&self.value(flag)?, flag, kind)
+    }
+
+    /// The comma-separated list following `flag`, parsed via
+    /// [`parse_list`].
+    ///
+    /// # Errors
+    ///
+    /// Returns the [`value`](Self::value) or [`parse_list`] error.
+    pub fn list<T: std::str::FromStr>(&mut self, flag: &str, kind: &str) -> Result<Vec<T>, String> {
+        parse_list(&self.value(flag)?, flag, kind)
+    }
 }
 
 /// Parses an invocation whose only recognised flag is `--jobs N` — the
@@ -125,6 +144,19 @@ mod tests {
         assert_eq!(p.next_flag().as_deref(), Some("--b"));
         assert!(p.value("--b").unwrap_err().contains("needs a value"));
         assert!(p.next_flag().is_none());
+    }
+
+    #[test]
+    fn flag_parser_parses_numbers_and_lists_in_place() {
+        let mut p = FlagParser::new(words(&["--n", "12", "--xs", "1,2.5", "--m", "x", "--k"]));
+        p.next_flag();
+        assert_eq!(p.num::<usize>("--n", "an integer").unwrap(), 12);
+        p.next_flag();
+        assert_eq!(p.list::<f64>("--xs", "numbers").unwrap(), vec![1.0, 2.5]);
+        p.next_flag();
+        assert!(p.num::<u64>("--m", "an integer").unwrap_err().contains("--m takes an integer"));
+        p.next_flag();
+        assert!(p.list::<f64>("--k", "numbers").unwrap_err().contains("needs a value"));
     }
 
     #[test]

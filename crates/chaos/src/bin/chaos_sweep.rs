@@ -32,12 +32,14 @@
 use std::process::ExitCode;
 use std::sync::Mutex;
 
-use cta_bench::{parse_num, FlagParser, JsonValue, SCHEMA_VERSION};
+use cta_bench::{FlagParser, JsonValue, SCHEMA_VERSION};
 use cta_chaos::{
     run_chaos, shrink, ChaosParams, ChaosScenario, EngineChoice, Mutation, Toggle, Violation,
 };
-use cta_serve::harness::{export_trace, Harness, PointOutput, SweepSpec};
-use cta_serve::{simulate_fleet_traced, FleetEngine};
+use cta_serve::harness::{
+    FleetFlag, FleetFlags, FleetPoint, Harness, PointOutput, SweepArgs, SweepSpec,
+};
+use cta_serve::FleetEngine;
 
 /// Usage text printed to stderr on any malformed invocation.
 const USAGE: &str = "usage: chaos_sweep [--seeds 64] [--seed0 1] [--engine step|event|both]
@@ -51,26 +53,11 @@ const USAGE: &str = "usage: chaos_sweep [--seeds 64] [--seed0 1] [--engine step|
                    [--jobs N] [--pool-trace <path.json>]";
 
 /// CSV/stdout column layout. Engine-independent by construction (CI
-/// byte-compares step vs event CSVs); the trailing `schema_version`
-/// repeats [`cta_bench::SCHEMA_VERSION`] on every row.
-const SWEEP_COLUMNS: &[&str] = &[
-    "seed",
-    "replicas",
-    "tenants",
-    "brownout",
-    "detector",
-    "sessions",
-    "plan_events",
-    "offered",
-    "completed",
-    "shed",
-    "quarantines",
-    "false_quarantines",
-    "det_latency_ms",
-    "min_availability",
-    "violations",
-    "schema_version",
-];
+/// byte-compares step vs event CSVs); the harness appends
+/// `schema_version`.
+const SWEEP_COLUMNS: &str = "seed,replicas,tenants,brownout,detector,sessions,plan_events,\
+     offered,completed,shed,quarantines,false_quarantines,det_latency_ms,min_availability,\
+     violations";
 
 #[derive(Debug)]
 struct Args {
@@ -81,40 +68,11 @@ struct Args {
     inject: bool,
     replay: Option<String>,
     repro_out: String,
-    trace: Option<String>,
 }
 
-fn parse_faults(list: &str) -> Result<ChaosParams, String> {
-    let mut params = ChaosParams {
-        crashes: false,
-        zone_outages: false,
-        partitions: false,
-        gray: false,
-        slowdowns: false,
-        link_stalls: false,
-        ..ChaosParams::default()
-    };
-    for word in list.split(',') {
-        match word.trim() {
-            "crash" => params.crashes = true,
-            "zone" => params.zone_outages = true,
-            "partition" => params.partitions = true,
-            "gray" => params.gray = true,
-            "slow" => params.slowdowns = true,
-            "stall" => params.link_stalls = true,
-            other => {
-                return Err(format!(
-                    "unknown fault class {other:?} (crash|zone|partition|gray|slow|stall)"
-                ))
-            }
-        }
-    }
-    Ok(params)
-}
-
-impl Args {
-    fn parse(it: &mut FlagParser) -> Result<Self, String> {
-        let mut args = Args {
+impl Default for Args {
+    fn default() -> Self {
+        Args {
             seeds: 64,
             seed0: 1,
             engine: EngineChoice::Both,
@@ -122,92 +80,73 @@ impl Args {
             inject: false,
             replay: None,
             repro_out: "results/chaos_repro.json".into(),
-            trace: None,
-        };
-        while let Some(flag) = it.next_flag() {
-            match flag.as_str() {
-                "--seeds" => {
-                    args.seeds = parse_num(&it.value("--seeds")?, "--seeds", "an integer")?;
-                }
-                "--seed0" => {
-                    args.seed0 = parse_num(&it.value("--seed0")?, "--seed0", "an integer")?;
-                }
-                "--engine" => {
-                    let v = it.value("--engine")?;
-                    args.engine = EngineChoice::parse(&v)
-                        .ok_or_else(|| format!("unknown engine {v:?} (step|event|both)"))?;
-                }
-                "--replicas-max" => {
-                    args.params.replicas_max =
-                        parse_num(&it.value("--replicas-max")?, "--replicas-max", "an integer")?;
-                }
-                "--zones" => {
-                    args.params.zones_max =
-                        parse_num(&it.value("--zones")?, "--zones", "an integer")?;
-                }
-                "--requests-max" => {
-                    args.params.requests_max =
-                        parse_num(&it.value("--requests-max")?, "--requests-max", "an integer")?;
-                }
-                "--chaos-faults" => {
-                    let keep = args.params.clone();
-                    args.params = parse_faults(&it.value("--chaos-faults")?)?;
-                    args.params.replicas_max = keep.replicas_max;
-                    args.params.zones_max = keep.zones_max;
-                    args.params.requests_max = keep.requests_max;
-                    args.params.gray_severity = keep.gray_severity;
-                    args.params.tenancy = keep.tenancy;
-                    args.params.brownout = keep.brownout;
-                    args.params.detector = keep.detector;
-                    args.params.sessions = keep.sessions;
-                }
-                "--chaos-tenancy" => {
-                    let v = it.value("--chaos-tenancy")?;
-                    args.params.tenancy = Toggle::parse(&v)
-                        .ok_or_else(|| format!("unknown tenancy mode {v:?} (on|off|mix)"))?;
-                }
-                "--chaos-brownout" => {
-                    let v = it.value("--chaos-brownout")?;
-                    args.params.brownout = Toggle::parse(&v)
-                        .ok_or_else(|| format!("unknown brownout mode {v:?} (on|off|mix)"))?;
-                }
-                "--gray-severity" => {
-                    args.params.gray_severity = Some(parse_num(
-                        &it.value("--gray-severity")?,
-                        "--gray-severity",
-                        "a number",
-                    )?);
-                }
-                "--detector" => {
-                    let v = it.value("--detector")?;
-                    args.params.detector = Toggle::parse(&v)
-                        .ok_or_else(|| format!("unknown detector mode {v:?} (on|off|mix)"))?;
-                }
-                "--chaos-sessions" => {
-                    let v = it.value("--chaos-sessions")?;
-                    args.params.sessions = Toggle::parse(&v)
-                        .ok_or_else(|| format!("unknown sessions mode {v:?} (on|off|mix)"))?;
-                }
-                "--repro-out" => {
-                    args.repro_out = it.value("--repro-out")?;
-                }
-                "--inject-bug" => {
-                    args.inject = true;
-                }
-                "--replay" => {
-                    args.replay = Some(it.value("--replay")?);
-                }
-                "--trace" => {
-                    args.trace = Some(it.value("--trace")?);
-                }
-                other => return Err(format!("unknown flag {other:?}")),
+        }
+    }
+}
+
+/// Enables exactly the fault classes in `list` (the other knobs of
+/// `params` stay as they are).
+fn parse_faults(params: &mut ChaosParams, list: &str) -> Result<(), String> {
+    let p = params;
+    (p.crashes, p.zone_outages, p.partitions, p.gray, p.slowdowns, p.link_stalls) =
+        (false, false, false, false, false, false);
+    for word in list.split(',') {
+        match word.trim() {
+            "crash" => p.crashes = true,
+            "zone" => p.zone_outages = true,
+            "partition" => p.partitions = true,
+            "gray" => p.gray = true,
+            "slow" => p.slowdowns = true,
+            "stall" => p.link_stalls = true,
+            other => {
+                return Err(format!(
+                    "unknown fault class {other:?} (crash|zone|partition|gray|slow|stall)"
+                ))
             }
         }
-        if args.seeds == 0 {
+    }
+    Ok(())
+}
+
+/// Parses an `on|off|mix` mode for `what`.
+fn toggle(it: &mut FlagParser, flag: &str, what: &str) -> Result<Toggle, String> {
+    let v = it.value(flag)?;
+    Toggle::parse(&v).ok_or_else(|| format!("unknown {what} mode {v:?} (on|off|mix)"))
+}
+
+impl SweepArgs for Args {
+    fn flag(&mut self, flag: &str, it: &mut FlagParser) -> Result<bool, String> {
+        let p = &mut self.params;
+        match flag {
+            "--seeds" => self.seeds = it.num(flag, "an integer")?,
+            "--seed0" => self.seed0 = it.num(flag, "an integer")?,
+            "--engine" => {
+                let v = it.value(flag)?;
+                self.engine = EngineChoice::parse(&v)
+                    .ok_or_else(|| format!("unknown engine {v:?} (step|event|both)"))?;
+            }
+            "--replicas-max" => p.replicas_max = it.num(flag, "an integer")?,
+            "--zones" => p.zones_max = it.num(flag, "an integer")?,
+            "--requests-max" => p.requests_max = it.num(flag, "an integer")?,
+            "--chaos-faults" => parse_faults(p, &it.value(flag)?)?,
+            "--chaos-tenancy" => p.tenancy = toggle(it, flag, "tenancy")?,
+            "--chaos-brownout" => p.brownout = toggle(it, flag, "brownout")?,
+            "--gray-severity" => p.gray_severity = Some(it.num(flag, "a number")?),
+            "--detector" => p.detector = toggle(it, flag, "detector")?,
+            "--chaos-sessions" => p.sessions = toggle(it, flag, "sessions")?,
+            "--repro-out" => self.repro_out = it.value(flag)?,
+            "--inject-bug" => self.inject = true,
+            "--replay" => self.replay = Some(it.value(flag)?),
+            _ => return Ok(false),
+        }
+        Ok(true)
+    }
+
+    fn validate(&self) -> Result<(), String> {
+        if self.seeds == 0 {
             return Err("--seeds must be positive".into());
         }
-        args.params.validate()?;
-        Ok(args)
+        self.params.validate()
     }
 }
 
@@ -215,34 +154,18 @@ impl Args {
 /// and run the sweep; malformed flags print the usage text to stderr and
 /// exit non-zero.
 pub fn main() -> ExitCode {
-    SweepSpec::new("chaos_sweep").usage(USAGE).columns(SWEEP_COLUMNS).main(
-        std::env::args().skip(1),
-        Args::parse,
-        run,
-    )
+    SweepSpec::new("chaos_sweep")
+        .usage(USAGE)
+        .columns(SWEEP_COLUMNS)
+        .fleet(&[FleetFlag::Trace], FleetFlags::default())
+        .main(std::env::args().skip(1), run)
 }
 
 /// Loads, reruns and re-checks a repro file under both engines. Exits
 /// non-zero when the scenario still violates an invariant — so a repro
 /// replay that *passes* after a fix is the fix's regression test.
 fn replay(path: &str, mutation: Mutation) {
-    let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
-        eprintln!("error: {path}: {e}");
-        std::process::exit(1);
-    });
-    let value = cta_bench::parse_json(&text).unwrap_or_else(|e| {
-        eprintln!("error: {path}: {e}");
-        std::process::exit(1);
-    });
-    // Accept both the bare scenario and the repro envelope this binary
-    // writes ({"scenario": ..., "violations": ...}).
-    let scenario_value = match &value {
-        JsonValue::Obj(pairs) => {
-            pairs.iter().find(|(k, _)| k == "scenario").map_or(&value, |(_, v)| v)
-        }
-        _ => &value,
-    };
-    let sc = ChaosScenario::from_json(scenario_value).unwrap_or_else(|e| {
+    let sc = load_repro(path).unwrap_or_else(|e| {
         eprintln!("error: {path}: {e}");
         std::process::exit(1);
     });
@@ -263,6 +186,20 @@ fn replay(path: &str, mutation: Mutation) {
         }
         std::process::exit(1);
     }
+}
+
+/// Reads a repro file: the bare scenario, or the envelope this binary
+/// writes (`{"scenario": ..., "violations": ...}`).
+fn load_repro(path: &str) -> Result<ChaosScenario, String> {
+    let text = std::fs::read_to_string(path).map_err(|e| e.to_string())?;
+    let value = cta_bench::parse_json(&text)?;
+    let scenario = match &value {
+        JsonValue::Obj(pairs) => {
+            pairs.iter().find(|(k, _)| k == "scenario").map_or(&value, |(_, v)| v)
+        }
+        _ => &value,
+    };
+    ChaosScenario::from_json(scenario)
 }
 
 /// Writes the minimized scenario (plus the violations it reproduces) as
@@ -287,15 +224,13 @@ fn write_repro(path: &str, sc: &ChaosScenario, violations: &[Violation]) {
         ),
     ]);
     if let Some(dir) = std::path::Path::new(path).parent() {
-        if !dir.as_os_str().is_empty() {
-            std::fs::create_dir_all(dir).unwrap_or_else(|e| panic!("{}: {e}", dir.display()));
-        }
+        std::fs::create_dir_all(dir).unwrap_or_else(|e| panic!("{}: {e}", dir.display()));
     }
     std::fs::write(path, value.to_json()).unwrap_or_else(|e| panic!("{path}: {e}"));
     println!("[saved {path}]");
 }
 
-fn run(h: &Harness<Args>) {
+fn run(h: &Harness<Args>) -> Result<(), String> {
     let args = h.args();
     let mutation = if args.inject { Mutation::DropShed } else { Mutation::None };
 
@@ -304,7 +239,7 @@ fn run(h: &Harness<Args>) {
     // caller passes --inject-bug again to reproduce that mode.
     if let Some(path) = &args.replay {
         replay(path, mutation);
-        return;
+        return Ok(());
     }
 
     let seeds: Vec<u64> = (0..args.seeds as u64).map(|i| args.seed0 + i).collect();
@@ -352,7 +287,6 @@ fn run(h: &Harness<Args>) {
                 format!("{:.3}", det.mean_detection_latency_s * 1e3),
                 format!("{min_avail:.4}"),
                 outcome.violations.len().to_string(),
-                SCHEMA_VERSION.to_string(),
             ]);
             out.point(JsonValue::obj(vec![
                 ("seed", JsonValue::Int(seed as i64)),
@@ -377,7 +311,7 @@ fn run(h: &Harness<Args>) {
                     ),
                 ),
             ]));
-            out
+            Ok(out)
         },
         |json| {
             json.set("experiment", JsonValue::Str("chaos_sweep".into()))
@@ -393,7 +327,7 @@ fn run(h: &Harness<Args>) {
                 .set("sessions", JsonValue::Str(args.params.sessions.label().into()))
                 .set("inject_bug", JsonValue::Bool(args.inject));
         },
-    );
+    )?;
 
     let mut failing = failures.into_inner().expect("failures");
     failing.sort_unstable_by_key(|&(seed, _, _)| seed);
@@ -427,7 +361,7 @@ fn run(h: &Harness<Args>) {
             );
             std::process::exit(1);
         }
-        return;
+        return Ok(());
     }
 
     if let Some((seed, sc, violations)) = failing.first().cloned() {
@@ -457,12 +391,16 @@ fn run(h: &Harness<Args>) {
 
     // --trace: rerun the last seed's scenario traced (step engine; trace
     // bytes are engine-independent anyway).
-    if let Some(path) = &args.trace {
-        let sc = ChaosScenario::sample(args.seed0 + args.seeds as u64 - 1, &args.params);
-        let trace = sc.trace();
-        let cfg = sc.fleet_config(FleetEngine::StepGranular);
-        export_trace(path, &format!("Chaos trace — seed {}", sc.seed), |sink| {
-            simulate_fleet_traced(&cfg, &trace, sink);
-        });
-    }
+    h.trace_last(
+        &seeds,
+        &|&seed| {
+            let sc = ChaosScenario::sample(seed, &args.params);
+            Ok(FleetPoint {
+                config: sc.fleet_config(FleetEngine::StepGranular),
+                requests: sc.trace(),
+            })
+        },
+        &|&seed, _| format!("Chaos trace — seed {seed}"),
+        None,
+    )
 }

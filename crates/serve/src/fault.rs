@@ -211,7 +211,23 @@ pub enum FaultPlanError {
     },
     /// [`FaultPlan::try_seeded`] was asked for an empty fleet.
     NoReplicas,
+    /// [`FaultPlan::try_seeded`] would draw more than
+    /// [`MAX_SEEDED_CRASH_WINDOWS`] crash windows: the MTBF and MTTR are
+    /// tiny next to the horizon.
+    TooManyWindows {
+        /// The cap that was reached.
+        cap: usize,
+    },
 }
+
+/// The most crash windows [`FaultPlan::try_seeded`] draws, over all
+/// replicas. A plan holds about `replicas × horizon / (MTBF + MTTR)`
+/// windows, so an MTBF of, say, `1e-300` would otherwise fill memory
+/// before the horizon is reached. The cap (~32 MB of windows) sits far
+/// above every plan the pinned sweeps, CI, the chaos engine and the
+/// benchmark build: the largest, the 1000-replica `planet_sweep` run,
+/// holds about two thousand windows.
+pub const MAX_SEEDED_CRASH_WINDOWS: usize = 1 << 20;
 
 impl fmt::Display for FaultPlanError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -253,6 +269,10 @@ impl fmt::Display for FaultPlanError {
             }
             Self::BadParam { what } => write!(f, "{what} must be positive and finite"),
             Self::NoReplicas => write!(f, "at least one replica"),
+            Self::TooManyWindows { cap } => write!(
+                f,
+                "seeded crash schedule exceeds {cap} windows (MTBF and MTTR too small for the horizon)"
+            ),
         }
     }
 }
@@ -319,9 +339,10 @@ impl FaultPlan {
         }
     }
 
-    /// Fallible form of [`Self::seeded`]: rejects an empty fleet and
-    /// non-positive / non-finite horizon, MTBF or MTTR with a typed
-    /// [`FaultPlanError`] instead of panicking.
+    /// Fallible form of [`Self::seeded`]: rejects an empty fleet,
+    /// non-positive / non-finite horizon, MTBF or MTTR, and a schedule
+    /// past [`MAX_SEEDED_CRASH_WINDOWS`] with a typed [`FaultPlanError`]
+    /// instead of panicking (or exhausting memory).
     pub fn try_seeded(
         replicas: usize,
         horizon_s: f64,
@@ -349,6 +370,9 @@ impl FaultPlan {
                 t += exp_sample(&mut rng, mtbf_s);
                 if t >= horizon_s {
                     break;
+                }
+                if crashes.len() == MAX_SEEDED_CRASH_WINDOWS {
+                    return Err(FaultPlanError::TooManyWindows { cap: MAX_SEEDED_CRASH_WINDOWS });
                 }
                 let down_s = t;
                 t += exp_sample(&mut rng, mttr_s);
@@ -955,6 +979,11 @@ mod tests {
             Err(FaultPlanError::BadParam { what: "horizon" })
         );
         assert_eq!(FaultPlan::try_seeded(0, 10.0, 5.0, 1.0, 0), Err(FaultPlanError::NoReplicas));
+        // A schedule past the window cap stops there instead of filling
+        // memory.
+        let cap = FaultPlanError::TooManyWindows { cap: MAX_SEEDED_CRASH_WINDOWS };
+        assert_eq!(FaultPlan::try_seeded(1, 1.0, 1e-300, 1e-300, 0), Err(cap.clone()));
+        assert!(cap.to_string().contains("exceeds 1048576 windows"), "{cap}");
         // Infinite partition.
         let cut = FaultPlan {
             partitions: vec![Partition { replica: 0, from_s: 1.0, until_s: f64::INFINITY }],

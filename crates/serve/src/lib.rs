@@ -45,11 +45,14 @@
 //! `equivalence` integration test pins it bit for bit against that fold.
 //!
 //! The sweep binaries (`serve_sweep`, `degradation_sweep`,
-//! `brownout_sweep`) are thin adapters over [`sweeps`], which in turn
-//! builds on the shared [`harness`] API: one [`harness::SweepSpec`]
-//! declaration per experiment, parallel grid evaluation on the
-//! `cta-parallel` pool (`--jobs`), and an ordered reduction that keeps
-//! every output byte independent of the worker count.
+//! `brownout_sweep`, `planet_sweep`, `tenant_sweep`, `decode_sweep`)
+//! are thin adapters over [`sweeps`], which in turn builds on the shared
+//! [`harness`] API: one [`harness::SweepSpec`] declaration per
+//! experiment, a grid, a point function and an extractor; the harness
+//! parses the shared fleet flags, evaluates the grid in parallel on the
+//! `cta-parallel` pool (`--jobs`) with an ordered reduction that keeps
+//! every output byte independent of the worker count, and re-runs the
+//! last point traced.
 //!
 //! # Example
 //!
@@ -85,7 +88,7 @@ pub use detector::{DetectorPolicy, DetectorStats};
 pub use engine::FleetEngine;
 pub use fault::{
     CrashWindow, FaultPlan, FaultPlanError, GrayFailure, LinkStall, Partition, RetryPolicy,
-    Slowdown, ZoneOutage,
+    Slowdown, ZoneOutage, MAX_SEEDED_CRASH_WINDOWS,
 };
 pub use harness::{Harness, PointOutput, SweepSpec};
 pub use loadgen::{

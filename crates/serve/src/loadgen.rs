@@ -144,13 +144,15 @@ pub fn mmpp_requests(
 ///
 /// # Panics
 ///
-/// Panics if `count == 0` or `rate_rps <= 0`.
+/// Panics if `count == 0`, or `rate_rps` is not positive or its 4x
+/// flash-crowd peak is not finite.
 pub fn diurnal_requests(
     spec: &LoadSpec,
     count: usize,
     rate_rps: f64,
     seed: u64,
 ) -> Vec<ServeRequest> {
+    assert!((4.0 * rate_rps).is_finite(), "diurnal peak rate must be finite");
     let period = (count as f64 / rate_rps / 4.0).max(1e-6);
     let diurnal = DiurnalSpec::new(rate_rps, period, 0.6, 0.25).with_flash(FlashCrowd::new(
         1.1 * period,

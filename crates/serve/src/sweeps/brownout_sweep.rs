@@ -52,15 +52,16 @@
 
 use std::process::ExitCode;
 
-use cta_bench::{parse_list, parse_num, FlagParser, JsonValue, SCHEMA_VERSION};
-use cta_sim::{CtaSystem, SystemConfig};
-use cta_workloads::{case_task, mini_case};
+use cta_bench::{FlagParser, JsonValue};
+use cta_sim::SystemConfig;
 
-use crate::harness::{export_trace, Harness, PointOutput, SweepSpec};
+use crate::harness::{
+    mini_workload, offered_rate, ExtractFn, FleetFlag, FleetFlags, FleetPoint, FleetSweep, Harness,
+    PointFn, PointOutput, SweepArgs, SweepSpec,
+};
 use crate::{
-    poisson_requests, simulate_fleet, simulate_fleet_traced, AdmissionPolicy, BatchPolicy,
-    BreakerPolicy, CostModel, FaultPlan, FleetConfig, FleetEngine, FleetReport, HedgePolicy,
-    LoadSpec, OverloadControl, QosClass, RoutingPolicy, ServeRequest,
+    poisson_requests, simulate_fleet, simulate_fleet_traced, BreakerPolicy, FleetConfig,
+    FleetEngine, FleetReport, HedgePolicy, LoadSpec, OverloadControl, QosClass,
 };
 
 /// Usage text printed to stderr on any malformed invocation.
@@ -71,24 +72,21 @@ const USAGE: &str = "usage: brownout_sweep [--replicas 3] [--loads 0.8,1.3,1.8] 
                       [--control brownout|breaker|hedge|full] [--engine step|event]
                       [--trace <path.json>] [--jobs N] [--pool-trace <path.json>]";
 
-/// CSV/stdout column layout; the trailing `schema_version` column repeats
-/// [`cta_bench::SCHEMA_VERSION`] on every row.
-const SWEEP_COLUMNS: &[&str] = &[
-    "load",
-    "mtbf_factor",
-    "control",
-    "completed",
-    "shed",
-    "goodput_rps",
-    "p50_ms",
-    "p99_ms",
-    "loss_pct",
-    "brownout_s",
-    "transitions",
-    "hedged",
-    "breaker_opens",
-    "schema_version",
-];
+/// The sweep's declaration: CSV/stdout columns (the harness appends
+/// `schema_version`) and the shared fleet flags it takes.
+pub(crate) fn spec() -> SweepSpec {
+    use FleetFlag::*;
+    SweepSpec::new("brownout_sweep")
+        .usage(USAGE)
+        .columns(
+            "load,mtbf_factor,control,completed,shed,goodput_rps,p50_ms,p99_ms,\
+             loss_pct,brownout_s,transitions,hedged,breaker_opens",
+        )
+        .fleet(
+            &[Seed, MttrFactor, Routing, Batch, QueueDepth, Trace, Engine],
+            FleetFlags::default(),
+        )
+}
 
 /// Which mechanisms the controlled half of each pair enables.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -142,121 +140,63 @@ struct Args {
     replicas: usize,
     loads: Vec<f64>,
     requests: usize,
-    seed: u64,
     mtbf_factors: Vec<f64>,
-    mttr_factor: f64,
     deadline_factor: f64,
     link_gbs: f64,
-    routing: RoutingPolicy,
-    batch: usize,
-    queue_depth: usize,
     control: ControlMode,
-    trace: Option<String>,
-    engine: FleetEngine,
 }
 
-impl Args {
-    fn parse(it: &mut FlagParser) -> Result<Self, String> {
-        let mut args = Args {
+impl Default for Args {
+    fn default() -> Self {
+        Args {
             replicas: 3,
             loads: vec![0.8, 1.3, 1.8],
             requests: 250,
-            seed: 7,
             mtbf_factors: vec![f64::INFINITY, 0.5],
-            mttr_factor: 0.05,
             deadline_factor: 25.0,
             link_gbs: 96.0,
-            routing: RoutingPolicy::JoinShortestQueue,
-            batch: 4,
-            queue_depth: 64,
             control: ControlMode::Brownout,
-            trace: None,
-            engine: FleetEngine::StepGranular,
-        };
-        while let Some(flag) = it.next_flag() {
-            match flag.as_str() {
-                "--replicas" => {
-                    args.replicas =
-                        parse_num(&it.value("--replicas")?, "--replicas", "an integer")?;
-                }
-                "--loads" => {
-                    args.loads = parse_list(&it.value("--loads")?, "--loads", "numbers")?;
-                }
-                "--requests" => {
-                    args.requests =
-                        parse_num(&it.value("--requests")?, "--requests", "an integer")?;
-                }
-                "--seed" => {
-                    args.seed = parse_num(&it.value("--seed")?, "--seed", "an integer")?;
-                }
-                "--mtbf-factors" => {
-                    args.mtbf_factors =
-                        parse_list(&it.value("--mtbf-factors")?, "--mtbf-factors", "numbers")?;
-                }
-                "--mttr-factor" => {
-                    args.mttr_factor =
-                        parse_num(&it.value("--mttr-factor")?, "--mttr-factor", "a number")?;
-                }
-                "--deadline-factor" => {
-                    args.deadline_factor = parse_num(
-                        &it.value("--deadline-factor")?,
-                        "--deadline-factor",
-                        "a number",
-                    )?;
-                }
-                "--link-gbs" => {
-                    args.link_gbs = parse_num(&it.value("--link-gbs")?, "--link-gbs", "a number")?;
-                }
-                "--routing" => {
-                    let v = it.value("--routing")?;
-                    args.routing = RoutingPolicy::parse(&v)
-                        .ok_or_else(|| format!("unknown routing policy {v:?} (rr|jsq|low)"))?;
-                }
-                "--batch" => {
-                    args.batch = parse_num(&it.value("--batch")?, "--batch", "an integer")?;
-                }
-                "--queue-depth" => {
-                    args.queue_depth =
-                        parse_num(&it.value("--queue-depth")?, "--queue-depth", "an integer")?;
-                }
-                "--control" => {
-                    args.control = ControlMode::parse(&it.value("--control")?)?;
-                }
-                "--trace" => {
-                    args.trace = Some(it.value("--trace")?);
-                }
-                "--engine" => {
-                    let v = it.value("--engine")?;
-                    args.engine = FleetEngine::parse(&v)
-                        .ok_or_else(|| format!("unknown engine {v:?} (step|event)"))?;
-                }
-                other => return Err(format!("unknown flag {other:?}")),
-            }
         }
-        if args.replicas == 0 || args.requests == 0 || args.batch == 0 || args.queue_depth == 0 {
-            return Err("--replicas, --requests, --batch and --queue-depth must be positive".into());
+    }
+}
+
+impl SweepArgs for Args {
+    fn flag(&mut self, flag: &str, it: &mut FlagParser) -> Result<bool, String> {
+        match flag {
+            "--replicas" => self.replicas = it.num(flag, "an integer")?,
+            "--loads" => self.loads = it.list(flag, "numbers")?,
+            "--requests" => self.requests = it.num(flag, "an integer")?,
+            "--mtbf-factors" => self.mtbf_factors = it.list(flag, "numbers")?,
+            "--deadline-factor" => self.deadline_factor = it.num(flag, "a number")?,
+            "--link-gbs" => self.link_gbs = it.num(flag, "a number")?,
+            "--control" => self.control = ControlMode::parse(&it.value(flag)?)?,
+            _ => return Ok(false),
         }
-        if args.loads.is_empty() || args.loads.iter().any(|l| !(*l > 0.0 && l.is_finite())) {
+        Ok(true)
+    }
+
+    fn validate(&self) -> Result<(), String> {
+        if self.replicas == 0 || self.requests == 0 {
+            return Err("--replicas and --requests must be positive".into());
+        }
+        if self.loads.is_empty() || self.loads.iter().any(|l| !(*l > 0.0 && l.is_finite())) {
             return Err("--loads must be a non-empty list of positive numbers".into());
         }
         // `inf` is a legal factor here (= that row runs fault-free), NaN
         // and non-positive values are not.
-        if args.mtbf_factors.is_empty() || args.mtbf_factors.iter().any(|f| f.is_nan() || *f <= 0.0)
+        if self.mtbf_factors.is_empty() || self.mtbf_factors.iter().any(|f| f.is_nan() || *f <= 0.0)
         {
             return Err(
                 "--mtbf-factors must be a non-empty list of positive numbers (inf ok)".into()
             );
         }
-        if !(args.mttr_factor > 0.0 && args.mttr_factor.is_finite()) {
-            return Err("--mttr-factor must be positive and finite".into());
-        }
-        if !(args.deadline_factor > 0.0 && args.deadline_factor.is_finite()) {
+        if !(self.deadline_factor > 0.0 && self.deadline_factor.is_finite()) {
             return Err("--deadline-factor must be positive and finite".into());
         }
-        if !(args.link_gbs > 0.0 && args.link_gbs.is_finite()) {
+        if !(self.link_gbs > 0.0 && self.link_gbs.is_finite()) {
             return Err("--link-gbs must be positive and finite".into());
         }
-        Ok(args)
+        Ok(())
     }
 }
 
@@ -264,21 +204,7 @@ impl Args {
 /// and run the sweep; malformed flags print the usage text to stderr and
 /// exit non-zero.
 pub fn main(argv: impl Iterator<Item = String>) -> ExitCode {
-    SweepSpec::new("brownout_sweep").usage(USAGE).columns(SWEEP_COLUMNS).main(
-        argv,
-        Args::parse,
-        run,
-    )
-}
-
-/// The fault plan for one grid row (`inf` = fault-free), following the
-/// `degradation_sweep` span-relative convention.
-fn point_faults(args: &Args, requests: &[ServeRequest], factor: f64) -> FaultPlan {
-    if !factor.is_finite() {
-        return FaultPlan::none();
-    }
-    let span = requests.last().map(|r| r.arrival_s).unwrap_or(0.0).max(1e-6);
-    FaultPlan::seeded(args.replicas, 2.0 * span, factor * span, args.mttr_factor * span, args.seed)
+    spec().main(argv, run)
 }
 
 /// One table row + JSON point from one run.
@@ -289,7 +215,7 @@ fn emit(out: &mut PointOutput, load: f64, factor: f64, control: &str, report: &F
     let brownout_s: f64 = ov.per_replica_brownout_s.iter().sum();
     out.row(vec![
         format!("{load:.2}"),
-        if factor.is_finite() { format!("{factor:.2}") } else { "inf".into() },
+        format!("{factor:.2}"),
         control.to_string(),
         m.completed.to_string(),
         m.shed.to_string(),
@@ -301,11 +227,10 @@ fn emit(out: &mut PointOutput, load: f64, factor: f64, control: &str, report: &F
         ov.brownout_transitions.to_string(),
         ov.hedged.to_string(),
         ov.breaker_opens.to_string(),
-        SCHEMA_VERSION.to_string(),
     ]);
     out.point(JsonValue::obj(vec![
         ("load", JsonValue::Num(load)),
-        ("mtbf_factor", if factor.is_finite() { JsonValue::Num(factor) } else { JsonValue::Null }),
+        ("mtbf_factor", JsonValue::Num(factor)),
         ("control", JsonValue::Str(control.into())),
         ("completed", JsonValue::Int(m.completed as i64)),
         ("shed", JsonValue::Int(m.shed as i64)),
@@ -325,29 +250,14 @@ fn emit(out: &mut PointOutput, load: f64, factor: f64, control: &str, report: &F
     ]));
 }
 
-fn run(h: &Harness<Args>) {
-    let args = h.args();
-    let case = mini_case();
-    let mut spec = LoadSpec::standard(case_task(&case), case.model.layers, case.model.heads);
-
+fn run(h: &Harness<Args>) -> Result<(), String> {
+    let (args, fleet) = (h.args(), h.fleet());
     let sys_cfg = SystemConfig { host_link_gbs: args.link_gbs, ..SystemConfig::paper() };
-    let system = CtaSystem::new(sys_cfg);
-    let mut cost = CostModel::new();
-    let probe = poisson_requests(&spec, 1, 1.0, args.seed);
-    let solo = cost.request_service_s(&system, &probe[0]);
+    let w = mini_workload(sys_cfg);
     // Deadline-bearing traffic: goodput below counts only deadline-met
     // completions, which is what overload control is supposed to protect.
-    let deadline_s = args.deadline_factor * solo;
-    spec.class = QosClass::interactive(deadline_s);
-
-    let base = {
-        let mut cfg = FleetConfig::sharded(sys_cfg, args.replicas);
-        cfg.engine = args.engine;
-        cfg.routing = args.routing;
-        cfg.batch = BatchPolicy::up_to(args.batch);
-        cfg.admission = AdmissionPolicy::bounded(args.queue_depth);
-        cfg
-    };
+    let deadline_s = args.deadline_factor * w.solo_s;
+    let spec = LoadSpec { class: QosClass::interactive(deadline_s), ..w.spec };
 
     let grid: Vec<(f64, f64)> = args
         .loads
@@ -355,7 +265,27 @@ fn run(h: &Harness<Args>) {
         .flat_map(|&load| args.mtbf_factors.iter().map(move |&factor| (load, factor)))
         .collect();
 
-    h.run_grid(
+    // Each point's disabled half: exactly the plain fleet (the
+    // golden-pinned code path) on the point's trace and fault schedule.
+    let point: &PointFn<(f64, f64)> = &|&(load, factor)| {
+        let rate = offered_rate(load, args.replicas, w.solo_s)?;
+        let requests = poisson_requests(&spec, args.requests, rate, fleet.seed);
+        let mut config = fleet.config(sys_cfg, args.replicas);
+        config.faults = fleet.faults(args.replicas, &requests, factor)?;
+        Ok(FleetPoint { config, requests })
+    };
+    // The controlled half: the same fleet under the selected mode.
+    let controlled =
+        |fp: &FleetPoint| FleetConfig { overload: args.control.overload(), ..fp.config.clone() };
+    let extract: &ExtractFn<(f64, f64)> = &|&(load, factor), fp, off, out| {
+        assert_eq!(off.metrics.completed + off.metrics.shed, args.requests, "conservation");
+        emit(out, load, factor, "off", off);
+        let on = simulate_fleet(&controlled(fp), &fp.requests);
+        assert_eq!(on.metrics.completed + on.metrics.shed, args.requests, "conservation");
+        emit(out, load, factor, args.control.label(), &on);
+    };
+
+    h.run_fleet(
         &format!(
             "Brownout sweep — {} replicas, link {} GB/s, deadline {:.3} ms ({}× solo), control {}, routing {}",
             args.replicas,
@@ -363,104 +293,76 @@ fn run(h: &Harness<Args>) {
             deadline_s * 1e3,
             args.deadline_factor,
             args.control.label(),
-            args.routing.label()
+            fleet.routing.label()
         ),
         &grid,
-        |&(load, factor)| {
-            let mut out = PointOutput::new();
-            let rate = load * args.replicas as f64 / solo;
-            let requests = poisson_requests(&spec, args.requests, rate, args.seed);
-            let mut cfg = base.clone();
-            cfg.faults = point_faults(args, &requests, factor);
-            // Disabled half: exactly the plain fleet (the golden-pinned
-            // code path), reported first for side-by-side reading.
-            cfg.overload = OverloadControl::off();
-            let off = simulate_fleet(&cfg, &requests);
-            assert_eq!(off.metrics.completed + off.metrics.shed, args.requests, "conservation");
-            emit(&mut out, load, factor, "off", &off);
-            // Controlled half on the same trace and fault schedule.
-            cfg.overload = args.control.overload();
-            let on = simulate_fleet(&cfg, &requests);
-            assert_eq!(on.metrics.completed + on.metrics.shed, args.requests, "conservation");
-            emit(&mut out, load, factor, args.control.label(), &on);
-            out
+        FleetSweep {
+            point,
+            extract,
+            // The harshest controlled point, with the brownout/breaker/
+            // hedge lanes in the trace and the overload-control section
+            // in the aggregate report.
+            trace_banner: &|&(load, _), path| {
+                format!("Trace — load {load:.2}, control {} → {path}", args.control.label())
+            },
+            trace: Some(&|fp, sink| {
+                simulate_fleet_traced(&controlled(fp), &fp.requests, sink);
+            }),
         },
         |json| {
             json.set("experiment", JsonValue::Str("brownout_sweep".into()))
-                .set("case", JsonValue::Str(case.name()))
+                .set("case", JsonValue::Str(w.case.name()))
                 .set("replicas", JsonValue::Int(args.replicas as i64))
                 .set("link_gbs", JsonValue::Num(args.link_gbs))
-                .set("solo_service_s", JsonValue::Num(solo))
+                .set("solo_service_s", JsonValue::Num(w.solo_s))
                 .set("deadline_s", JsonValue::Num(deadline_s))
                 .set("deadline_factor", JsonValue::Num(args.deadline_factor))
-                .set("mttr_factor", JsonValue::Num(args.mttr_factor))
+                .set("mttr_factor", JsonValue::Num(fleet.mttr_factor))
                 .set("control", JsonValue::Str(args.control.label().into()))
-                .set("routing", JsonValue::Str(args.routing.label().into()))
-                .set("batch", JsonValue::Int(args.batch as i64))
-                .set("queue_depth", JsonValue::Int(args.queue_depth as i64))
+                .set("routing", JsonValue::Str(fleet.routing.label().into()))
+                .set("batch", JsonValue::Int(fleet.batch as i64))
+                .set("queue_depth", JsonValue::Int(fleet.queue_depth as i64))
                 .set("requests_per_point", JsonValue::Int(args.requests as i64))
-                .set("seed", JsonValue::Int(args.seed as i64));
+                .set("seed", JsonValue::Int(fleet.seed as i64));
             // Only non-default so the default report bytes stay pinned.
-            if args.engine != FleetEngine::StepGranular {
-                json.set("engine", JsonValue::Str(args.engine.label().into()));
+            if fleet.engine != FleetEngine::StepGranular {
+                json.set("engine", JsonValue::Str(fleet.engine.label().into()));
             }
         },
-    );
-
-    // Telemetry pass: the harshest controlled point (last load, last MTBF
-    // factor), with the brownout/breaker/hedge lanes in the trace and the
-    // overload-control section in the aggregate report.
-    if let Some(path) = &args.trace {
-        let load = *args.loads.last().expect("non-empty loads");
-        let factor = *args.mtbf_factors.last().expect("non-empty factors");
-        let rate = load * args.replicas as f64 / solo;
-        let requests = poisson_requests(&spec, args.requests, rate, args.seed);
-        let mut cfg = base.clone();
-        cfg.faults = point_faults(args, &requests, factor);
-        cfg.overload = args.control.overload();
-        export_trace(
-            path,
-            &format!("Trace — load {load:.2}, control {} → {path}", args.control.label()),
-            |sink| {
-                let _ = simulate_fleet_traced(&cfg, &requests, sink);
-            },
-        );
-    }
+    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn parse(words: &[&str]) -> Result<Args, String> {
-        Args::parse(&mut FlagParser::new(words.iter().map(|s| s.to_string())))
+    fn parse(words: &str) -> Result<Harness<Args>, String> {
+        spec().parse(words.split_whitespace().map(String::from))
     }
 
     #[test]
     fn args_parse_accepts_defaults_and_rejects_malformed_flags() {
-        let ok = parse(&[]).expect("defaults valid");
-        assert_eq!(ok.control, ControlMode::Brownout);
-        assert!(ok.mtbf_factors[0].is_infinite(), "default grid includes the fault-free row");
-        let brown = parse(&["--control", "brownout"]).expect("valid mode");
-        assert!(brown.control.overload().brownout.is_some());
-        assert!(brown.control.overload().breaker.is_none());
+        let ok = parse("").expect("defaults valid");
+        assert_eq!(ok.args().control, ControlMode::Brownout);
+        assert!(
+            ok.args().mtbf_factors[0].is_infinite(),
+            "default grid includes the fault-free row"
+        );
+        let brown = parse("--control brownout").expect("valid mode");
+        assert!(brown.args().control.overload().brownout.is_some());
+        assert!(brown.args().control.overload().breaker.is_none());
 
-        assert!(parse(&["--bogus"]).unwrap_err().contains("unknown flag"));
-        assert!(parse(&["--control"]).unwrap_err().contains("needs a value"));
-        assert!(parse(&["--control", "chaos"]).unwrap_err().contains("unknown control mode"));
-        assert!(parse(&["--loads", "0"]).unwrap_err().contains("positive"));
-        assert!(parse(&["--mtbf-factors", "nan"]).unwrap_err().contains("positive"));
-        assert!(parse(&["--deadline-factor", "-3"]).unwrap_err().contains("positive"));
-        assert!(parse(&["--link-gbs", "inf"]).unwrap_err().contains("positive and finite"));
-        assert_eq!(ok.engine, FleetEngine::StepGranular);
-        assert_eq!(parse(&["--engine", "event"]).expect("valid").engine, FleetEngine::EventDriven);
-        assert!(parse(&["--engine", "warp"]).unwrap_err().contains("unknown engine"));
-    }
-
-    #[test]
-    fn csv_header_carries_schema_version() {
-        assert_eq!(SWEEP_COLUMNS.last(), Some(&"schema_version"));
-        assert_eq!(SCHEMA_VERSION, 2, "bump this pin alongside the layout");
+        assert!(parse("--bogus").unwrap_err().contains("unknown flag"));
+        assert!(parse("--control").unwrap_err().contains("needs a value"));
+        assert!(parse("--control chaos").unwrap_err().contains("unknown control mode"));
+        assert!(parse("--loads 0").unwrap_err().contains("positive"));
+        assert!(parse("--mtbf-factors nan").unwrap_err().contains("positive"));
+        assert!(parse("--deadline-factor -3").unwrap_err().contains("positive"));
+        assert!(parse("--link-gbs inf").unwrap_err().contains("positive and finite"));
+        assert_eq!(ok.fleet().engine, FleetEngine::StepGranular);
+        let event = parse("--engine event").expect("valid");
+        assert_eq!(event.fleet().engine, FleetEngine::EventDriven);
+        assert!(parse("--engine warp").unwrap_err().contains("unknown engine"));
     }
 
     #[test]

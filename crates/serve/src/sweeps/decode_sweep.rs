@@ -35,15 +35,15 @@
 
 use std::process::ExitCode;
 
-use cta_bench::{parse_list, parse_num, FlagParser, JsonValue, SCHEMA_VERSION};
+use cta_bench::{FlagParser, JsonValue};
 use cta_sim::SystemConfig;
-use cta_workloads::{case_task, mini_case, SessionSpec};
+use cta_workloads::SessionSpec;
 
-use crate::harness::{export_trace, Harness, PointOutput, SweepSpec};
-use crate::{
-    session_requests, simulate_fleet, simulate_fleet_traced, AdmissionPolicy, BatchPolicy,
-    FaultPlan, FleetConfig, FleetEngine, LoadSpec, RoutingPolicy, ServeRequest, SessionPolicy,
+use crate::harness::{
+    mini_workload, ExtractFn, FleetFlag, FleetFlags, FleetPoint, FleetSweep, Harness, PointFn,
+    SweepArgs, SweepSpec,
 };
+use crate::{session_requests, LoadSpec, RoutingPolicy, ServeRequest, SessionPolicy};
 
 /// Usage text printed to stderr on any malformed invocation.
 const USAGE: &str = "usage: decode_sweep [--sessions 16,48] [--turns 4] [--thresholds 0.25,1.0]
@@ -53,22 +53,27 @@ const USAGE: &str = "usage: decode_sweep [--sessions 16,48] [--turns 4] [--thres
                     [--seed 7] [--engine step|event] [--trace <path.json>]
                     [--jobs N] [--pool-trace <path.json>]";
 
-/// CSV/stdout column layout; the trailing `schema_version` column repeats
-/// [`cta_bench::SCHEMA_VERSION`] on every row.
-const SWEEP_COLUMNS: &[&str] = &[
-    "sessions",
-    "mean_turns",
-    "threshold",
-    "turns",
-    "completed",
-    "shed",
-    "goodput_rps",
-    "p99_ms",
-    "itl_ms",
-    "re_prefill_rate",
-    "sessions_lost",
-    "schema_version",
-];
+/// The sweep's declaration: CSV/stdout columns (the harness appends
+/// `schema_version`) and the shared fleet flags it takes. The fleet is
+/// fixed to least-outstanding-work routing, batches of 4 and admission
+/// depth 64.
+pub(crate) fn spec() -> SweepSpec {
+    use FleetFlag::*;
+    SweepSpec::new("decode_sweep")
+        .usage(USAGE)
+        .columns(
+            "sessions,mean_turns,threshold,turns,completed,shed,goodput_rps,p99_ms,\
+             itl_ms,re_prefill_rate,sessions_lost",
+        )
+        .fleet(
+            &[MttrFactor, Seed, Engine, Trace],
+            FleetFlags {
+                routing: RoutingPolicy::LeastOutstandingWork,
+                mttr_factor: 0.02,
+                ..FleetFlags::default()
+            },
+        )
+}
 
 #[derive(Debug)]
 struct Args {
@@ -81,15 +86,11 @@ struct Args {
     replicas: usize,
     policy: SessionPolicy,
     mtbf_factor: f64,
-    mttr_factor: f64,
-    seed: u64,
-    engine: FleetEngine,
-    trace: Option<String>,
 }
 
-impl Args {
-    fn parse(it: &mut FlagParser) -> Result<Self, String> {
-        let mut args = Args {
+impl Default for Args {
+    fn default() -> Self {
+        Args {
             sessions: vec![16, 48],
             turns: vec![4.0],
             thresholds: vec![0.25, 1.0],
@@ -99,96 +100,61 @@ impl Args {
             replicas: 3,
             policy: SessionPolicy::sticky(),
             mtbf_factor: f64::INFINITY,
-            mttr_factor: 0.02,
-            seed: 7,
-            engine: FleetEngine::StepGranular,
-            trace: None,
-        };
-        while let Some(flag) = it.next_flag() {
-            match flag.as_str() {
-                "--sessions" => {
-                    args.sessions = parse_list(&it.value("--sessions")?, "--sessions", "integers")?;
-                }
-                "--turns" => {
-                    args.turns = parse_list(&it.value("--turns")?, "--turns", "numbers")?;
-                }
-                "--thresholds" => {
-                    args.thresholds =
-                        parse_list(&it.value("--thresholds")?, "--thresholds", "numbers")?;
-                }
-                "--arrival-rate" => {
-                    args.arrival_rate =
-                        parse_num(&it.value("--arrival-rate")?, "--arrival-rate", "a number")?;
-                }
-                "--think-ms" => {
-                    args.think_ms = parse_num(&it.value("--think-ms")?, "--think-ms", "a number")?;
-                }
-                "--drift" => {
-                    args.drift = parse_num(&it.value("--drift")?, "--drift", "a number")?;
-                }
-                "--replicas" => {
-                    args.replicas =
-                        parse_num(&it.value("--replicas")?, "--replicas", "an integer")?;
-                }
-                "--policy" => {
-                    let v = it.value("--policy")?;
-                    args.policy = match v.as_str() {
-                        "sticky" => SessionPolicy::sticky(),
-                        "stateless" => SessionPolicy::stateless(),
-                        _ => return Err(format!("unknown policy {v:?} (sticky|stateless)")),
-                    };
-                }
-                "--mtbf-factor" => {
-                    args.mtbf_factor =
-                        parse_num(&it.value("--mtbf-factor")?, "--mtbf-factor", "a number")?;
-                }
-                "--mttr-factor" => {
-                    args.mttr_factor =
-                        parse_num(&it.value("--mttr-factor")?, "--mttr-factor", "a number")?;
-                }
-                "--seed" => {
-                    args.seed = parse_num(&it.value("--seed")?, "--seed", "an integer")?;
-                }
-                "--engine" => {
-                    let v = it.value("--engine")?;
-                    args.engine = FleetEngine::parse(&v)
-                        .ok_or_else(|| format!("unknown engine {v:?} (step|event)"))?;
-                }
-                "--trace" => {
-                    args.trace = Some(it.value("--trace")?);
-                }
-                other => return Err(format!("unknown flag {other:?}")),
-            }
         }
-        if args.sessions.is_empty() || args.sessions.contains(&0) {
+    }
+}
+
+impl SweepArgs for Args {
+    fn flag(&mut self, flag: &str, it: &mut FlagParser) -> Result<bool, String> {
+        match flag {
+            "--sessions" => self.sessions = it.list(flag, "integers")?,
+            "--turns" => self.turns = it.list(flag, "numbers")?,
+            "--thresholds" => self.thresholds = it.list(flag, "numbers")?,
+            "--arrival-rate" => self.arrival_rate = it.num(flag, "a number")?,
+            "--think-ms" => self.think_ms = it.num(flag, "a number")?,
+            "--drift" => self.drift = it.num(flag, "a number")?,
+            "--replicas" => self.replicas = it.num(flag, "an integer")?,
+            "--policy" => {
+                let v = it.value(flag)?;
+                self.policy = match v.as_str() {
+                    "sticky" => SessionPolicy::sticky(),
+                    "stateless" => SessionPolicy::stateless(),
+                    _ => return Err(format!("unknown policy {v:?} (sticky|stateless)")),
+                };
+            }
+            "--mtbf-factor" => self.mtbf_factor = it.num(flag, "a number")?,
+            _ => return Ok(false),
+        }
+        Ok(true)
+    }
+
+    fn validate(&self) -> Result<(), String> {
+        if self.sessions.is_empty() || self.sessions.contains(&0) {
             return Err("--sessions must be a non-empty list of positive integers".into());
         }
-        if args.turns.is_empty() || args.turns.iter().any(|&t| !(t >= 1.0 && t.is_finite())) {
+        if self.turns.is_empty() || self.turns.iter().any(|&t| !(t >= 1.0 && t.is_finite())) {
             return Err("--turns must be a non-empty list of numbers >= 1".into());
         }
         // `inf` is a legal threshold (= re-clustering disabled).
-        if args.thresholds.is_empty() || args.thresholds.iter().any(|&t| t.is_nan() || t <= 0.0) {
+        if self.thresholds.is_empty() || self.thresholds.iter().any(|&t| t.is_nan() || t <= 0.0) {
             return Err("--thresholds must be a non-empty list of positive numbers (inf ok)".into());
         }
-        if !(args.arrival_rate > 0.0 && args.arrival_rate.is_finite()) {
+        if !(self.arrival_rate > 0.0 && self.arrival_rate.is_finite()) {
             return Err("--arrival-rate must be positive and finite".into());
         }
-        if !(args.think_ms > 0.0 && args.think_ms.is_finite()) {
+        if !(self.think_ms > 0.0 && self.think_ms.is_finite()) {
             return Err("--think-ms must be positive and finite".into());
         }
-        if !(args.drift >= 0.0 && args.drift.is_finite()) {
+        if !(self.drift >= 0.0 && self.drift.is_finite()) {
             return Err("--drift must be non-negative and finite".into());
         }
-        if args.replicas == 0 {
+        if self.replicas == 0 {
             return Err("--replicas must be positive".into());
         }
-        if args.mtbf_factor.is_nan() || args.mtbf_factor <= 0.0 {
+        if self.mtbf_factor.is_nan() || self.mtbf_factor <= 0.0 {
             return Err("--mtbf-factor must be positive (inf ok)".into());
         }
-        if !(args.mttr_factor > 0.0 && args.mttr_factor.is_finite()) {
-            return Err("--mttr-factor must be positive and finite".into());
-        }
-        Ok(args)
+        Ok(())
     }
 }
 
@@ -196,198 +162,151 @@ impl Args {
 /// and run the sweep; malformed flags print the usage text to stderr and
 /// exit non-zero.
 pub fn main(argv: impl Iterator<Item = String>) -> ExitCode {
-    SweepSpec::new("decode_sweep").usage(USAGE).columns(SWEEP_COLUMNS).main(argv, Args::parse, run)
+    spec().main(argv, run)
 }
+
+/// One grid point: session count × mean turns × re-cluster threshold.
+type Point = (usize, f64, f64);
 
 /// The session trace for one grid point.
 fn point_requests(
     spec: &LoadSpec,
     args: &Args,
-    sessions: usize,
-    mean_turns: f64,
-) -> impl Fn(f64) -> Vec<ServeRequest> + use<> {
-    let spec = *spec;
+    seed: u64,
+    (sessions, mean_turns, threshold): Point,
+) -> Vec<ServeRequest> {
     let turns = SessionSpec::new(sessions, args.arrival_rate, mean_turns, args.think_ms * 1e-3);
-    let (drift, seed) = (args.drift, args.seed);
-    move |threshold| session_requests(&spec, &turns, drift, threshold, seed)
+    session_requests(spec, &turns, args.drift, threshold, seed)
 }
 
-fn point_config(args: &Args, requests: &[ServeRequest]) -> FleetConfig {
-    let mut cfg = FleetConfig::builder(SystemConfig::paper())
-        .replicas(args.replicas)
-        .routing(RoutingPolicy::LeastOutstandingWork)
-        .admission(AdmissionPolicy::bounded(64))
-        .batch(BatchPolicy::up_to(4))
-        .engine(args.engine)
-        .sessions(args.policy)
-        .build()
-        .expect("the decode sweep fleet is always valid");
-    if args.mtbf_factor.is_finite() {
-        let span = requests.last().map(|r| r.arrival_s).unwrap_or(0.0).max(1e-6);
-        cfg.faults = FaultPlan::seeded(
-            args.replicas,
-            2.0 * span,
-            args.mtbf_factor * span,
-            args.mttr_factor * span,
-            args.seed,
-        );
-    }
-    cfg
-}
+fn run(h: &Harness<Args>) -> Result<(), String> {
+    let (args, fleet) = (h.args(), h.fleet());
+    let w = mini_workload(SystemConfig::paper());
 
-fn run(h: &Harness<Args>) {
-    let args = h.args();
-    let case = mini_case();
-    let spec = LoadSpec::standard(case_task(&case), case.model.layers, case.model.heads);
+    let grid: Vec<Point> = (args.sessions.iter())
+        .flat_map(|&sessions| args.turns.iter().map(move |&turns| (sessions, turns)))
+        .flat_map(|(sessions, turns)| args.thresholds.iter().map(move |&t| (sessions, turns, t)))
+        .collect();
 
-    let mut grid: Vec<(usize, f64, f64)> = Vec::new();
-    for &sessions in &args.sessions {
-        for &mean_turns in &args.turns {
-            for &threshold in &args.thresholds {
-                grid.push((sessions, mean_turns, threshold));
-            }
-        }
-    }
+    let point: &PointFn<Point> = &|&p| {
+        let requests = point_requests(&w.spec, args, fleet.seed, p);
+        let mut config = fleet.config(SystemConfig::paper(), args.replicas);
+        config.sessions = Some(args.policy);
+        config.faults = fleet.faults(args.replicas, &requests, args.mtbf_factor)?;
+        Ok(FleetPoint { config, requests })
+    };
+    let extract: &ExtractFn<Point> = &|&(sessions, mean_turns, threshold), fp, report, out| {
+        let m = &report.metrics;
+        let turns = fp.requests.len();
+        assert_eq!(m.completed + m.shed, turns, "turn accounting identity");
+        let s = m.sessions.as_ref().expect("session fleets report session stats");
+        let p99 = m.latency.as_ref().map_or(f64::NAN, |l| l.p99_s);
+        out.row(vec![
+            sessions.to_string(),
+            format!("{mean_turns:.1}"),
+            format!("{threshold}"),
+            turns.to_string(),
+            m.completed.to_string(),
+            m.shed.to_string(),
+            format!("{:.1}", m.goodput_rps),
+            format!("{:.3}", p99 * 1e3),
+            format!("{:.4}", s.mean_itl_s * 1e3),
+            format!("{:.3}", s.re_prefill_rate),
+            s.sessions_lost.to_string(),
+        ]);
+        out.point(JsonValue::obj(vec![
+            ("sessions", JsonValue::Int(sessions as i64)),
+            ("mean_turns", JsonValue::Num(mean_turns)),
+            ("threshold", JsonValue::Num(threshold)),
+            ("turns", JsonValue::Int(turns as i64)),
+            ("completed", JsonValue::Int(m.completed as i64)),
+            ("shed", JsonValue::Int(m.shed as i64)),
+            ("goodput_rps", JsonValue::Num(m.goodput_rps)),
+            ("p99_s", JsonValue::Num(p99)),
+            ("mean_itl_s", JsonValue::Num(s.mean_itl_s)),
+            ("p99_itl_s", JsonValue::Num(s.p99_itl_s)),
+            ("re_prefills", JsonValue::Int(s.re_prefills as i64)),
+            ("re_prefill_rate", JsonValue::Num(s.re_prefill_rate)),
+            ("sessions_lost", JsonValue::Int(s.sessions_lost as i64)),
+            ("turns_shed", JsonValue::Int(s.turns_shed as i64)),
+            ("events", JsonValue::Int(report.events_processed as i64)),
+        ]));
+    };
 
-    h.run_grid(
+    let policy = if args.policy.sticky { "sticky" } else { "stateless" };
+    h.run_fleet(
         &format!(
-            "Decode sweep — {} sessions over {} replicas, engine {}, drift {}/token",
-            if args.policy.sticky { "sticky" } else { "stateless" },
+            "Decode sweep — {policy} sessions over {} replicas, engine {}, drift {}/token",
             args.replicas,
-            args.engine.label(),
+            fleet.engine.label(),
             args.drift
         ),
         &grid,
-        |&(sessions, mean_turns, threshold)| {
-            let mut out = PointOutput::new();
-            let requests = point_requests(&spec, args, sessions, mean_turns)(threshold);
-            let cfg = point_config(args, &requests);
-            let report = simulate_fleet(&cfg, &requests);
-            let m = &report.metrics;
-            assert_eq!(m.completed + m.shed, requests.len(), "turn accounting identity");
-            let s = m.sessions.as_ref().expect("session fleets report session stats");
-            let p99 = m.latency.as_ref().map_or(f64::NAN, |l| l.p99_s);
-            out.row(vec![
-                sessions.to_string(),
-                format!("{mean_turns:.1}"),
-                format!("{threshold}"),
-                requests.len().to_string(),
-                m.completed.to_string(),
-                m.shed.to_string(),
-                format!("{:.1}", m.goodput_rps),
-                format!("{:.3}", p99 * 1e3),
-                format!("{:.4}", s.mean_itl_s * 1e3),
-                format!("{:.3}", s.re_prefill_rate),
-                s.sessions_lost.to_string(),
-                SCHEMA_VERSION.to_string(),
-            ]);
-            out.point(JsonValue::obj(vec![
-                ("sessions", JsonValue::Int(sessions as i64)),
-                ("mean_turns", JsonValue::Num(mean_turns)),
-                (
-                    "threshold",
-                    if threshold.is_finite() { JsonValue::Num(threshold) } else { JsonValue::Null },
-                ),
-                ("turns", JsonValue::Int(requests.len() as i64)),
-                ("completed", JsonValue::Int(m.completed as i64)),
-                ("shed", JsonValue::Int(m.shed as i64)),
-                ("goodput_rps", JsonValue::Num(m.goodput_rps)),
-                ("p99_s", JsonValue::Num(p99)),
-                ("mean_itl_s", JsonValue::Num(s.mean_itl_s)),
-                ("p99_itl_s", JsonValue::Num(s.p99_itl_s)),
-                ("re_prefills", JsonValue::Int(s.re_prefills as i64)),
-                ("re_prefill_rate", JsonValue::Num(s.re_prefill_rate)),
-                ("sessions_lost", JsonValue::Int(s.sessions_lost as i64)),
-                ("turns_shed", JsonValue::Int(s.turns_shed as i64)),
-                ("events", JsonValue::Int(report.events_processed as i64)),
-            ]));
-            out
+        FleetSweep {
+            point,
+            extract,
+            // Session re-prefill spans and session-lost instants land on
+            // the runtime lane of the standard fleet trace.
+            trace_banner: &|&(sessions, _, threshold), path| {
+                format!("Trace — {sessions} sessions, threshold {threshold} → {path}")
+            },
+            trace: None,
         },
         |json| {
             json.set("experiment", JsonValue::Str("decode_sweep".into()))
-                .set("case", JsonValue::Str(case.name()))
-                .set("engine", JsonValue::Str(args.engine.label().into()))
-                .set(
-                    "policy",
-                    JsonValue::Str(if args.policy.sticky { "sticky" } else { "stateless" }.into()),
-                )
+                .set("case", JsonValue::Str(w.case.name()))
+                .set("engine", JsonValue::Str(fleet.engine.label().into()))
+                .set("policy", JsonValue::Str(policy.into()))
                 .set("arrival_rate", JsonValue::Num(args.arrival_rate))
                 .set("think_ms", JsonValue::Num(args.think_ms))
                 .set("drift_per_token", JsonValue::Num(args.drift))
                 .set("replicas", JsonValue::Int(args.replicas as i64))
-                .set(
-                    "mtbf_factor",
-                    if args.mtbf_factor.is_finite() {
-                        JsonValue::Num(args.mtbf_factor)
-                    } else {
-                        JsonValue::Null
-                    },
-                )
-                .set("mttr_factor", JsonValue::Num(args.mttr_factor))
-                .set("seed", JsonValue::Int(args.seed as i64));
+                // `inf` (fault-free) is written as null.
+                .set("mtbf_factor", JsonValue::Num(args.mtbf_factor))
+                .set("mttr_factor", JsonValue::Num(fleet.mttr_factor))
+                .set("seed", JsonValue::Int(fleet.seed as i64));
         },
-    );
-
-    // Telemetry pass: re-run the last grid point traced; session
-    // re-prefill spans and session-lost instants land on the runtime
-    // lane of the standard fleet trace.
-    if let Some(path) = &args.trace {
-        let &(sessions, mean_turns, threshold) = grid.last().expect("non-empty grid");
-        let requests = point_requests(&spec, args, sessions, mean_turns)(threshold);
-        let cfg = point_config(args, &requests);
-        export_trace(
-            path,
-            &format!("Trace — {sessions} sessions, threshold {threshold} → {path}"),
-            |sink| {
-                let _ = simulate_fleet_traced(&cfg, &requests, sink);
-            },
-        );
-    }
+    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn parse(words: &[&str]) -> Result<Args, String> {
-        Args::parse(&mut FlagParser::new(words.iter().map(|s| s.to_string())))
+    fn parse(words: &str) -> Result<Harness<Args>, String> {
+        spec().parse(words.split_whitespace().map(String::from))
     }
 
     #[test]
     fn args_parse_accepts_defaults_and_rejects_malformed_flags() {
-        let ok = parse(&[]).expect("defaults valid");
-        assert_eq!(ok.sessions, vec![16, 48]);
-        assert_eq!(ok.policy, SessionPolicy::sticky());
-        assert!(!ok.mtbf_factor.is_finite(), "healthy by default");
-        let ablate = parse(&["--policy", "stateless"]).expect("valid");
-        assert_eq!(ablate.policy, SessionPolicy::stateless());
-        let open = parse(&["--thresholds", "inf"]).expect("valid");
-        assert!(!open.thresholds[0].is_finite());
+        let ok = parse("").expect("defaults valid");
+        assert_eq!(ok.args().sessions, vec![16, 48]);
+        assert_eq!(ok.args().policy, SessionPolicy::sticky());
+        assert!(!ok.args().mtbf_factor.is_finite(), "healthy by default");
+        assert_eq!(ok.fleet().mttr_factor, 0.02);
+        let ablate = parse("--policy stateless").expect("valid");
+        assert_eq!(ablate.args().policy, SessionPolicy::stateless());
+        let open = parse("--thresholds inf").expect("valid");
+        assert!(!open.args().thresholds[0].is_finite());
 
-        assert!(parse(&["--bogus"]).unwrap_err().contains("unknown flag"));
-        assert!(parse(&["--sessions", "0"]).unwrap_err().contains("positive"));
-        assert!(parse(&["--turns", "0.5"]).unwrap_err().contains(">= 1"));
-        assert!(parse(&["--thresholds", "-1"]).unwrap_err().contains("positive"));
-        assert!(parse(&["--arrival-rate", "nan"]).unwrap_err().contains("positive"));
-        assert!(parse(&["--think-ms", "0"]).unwrap_err().contains("positive"));
-        assert!(parse(&["--drift", "-0.1"]).unwrap_err().contains("non-negative"));
-        assert!(parse(&["--replicas", "0"]).unwrap_err().contains("positive"));
-        assert!(parse(&["--policy", "rr"]).unwrap_err().contains("unknown policy"));
-        assert!(parse(&["--engine", "warp"]).unwrap_err().contains("unknown engine"));
-    }
-
-    #[test]
-    fn csv_header_carries_schema_version() {
-        assert_eq!(SWEEP_COLUMNS.last(), Some(&"schema_version"));
-        assert_eq!(SCHEMA_VERSION, 2, "bump this pin alongside the layout");
+        assert!(parse("--bogus").unwrap_err().contains("unknown flag"));
+        assert!(parse("--batch 4").unwrap_err().contains("unknown flag"));
+        assert!(parse("--sessions 0").unwrap_err().contains("positive"));
+        assert!(parse("--turns 0.5").unwrap_err().contains(">= 1"));
+        assert!(parse("--thresholds -1").unwrap_err().contains("positive"));
+        assert!(parse("--arrival-rate nan").unwrap_err().contains("positive"));
+        assert!(parse("--think-ms 0").unwrap_err().contains("positive"));
+        assert!(parse("--drift -0.1").unwrap_err().contains("non-negative"));
+        assert!(parse("--replicas 0").unwrap_err().contains("positive"));
+        assert!(parse("--policy rr").unwrap_err().contains("unknown policy"));
+        assert!(parse("--engine warp").unwrap_err().contains("unknown engine"));
     }
 
     #[test]
     fn point_trace_is_deterministic_and_threshold_sensitive() {
-        let args = parse(&[]).expect("defaults");
-        let case = mini_case();
-        let spec = LoadSpec::standard(case_task(&case), case.model.layers, case.model.heads);
-        let mk = point_requests(&spec, &args, 8, 3.0);
+        let args = Args::default();
+        let spec = mini_workload(SystemConfig::paper()).spec;
+        let mk = |threshold| point_requests(&spec, &args, 7, (8, 3.0, threshold));
         let a = mk(0.25);
         assert_eq!(a, mk(0.25));
         assert!(a.windows(2).all(|w| w[0].arrival_s <= w[1].arrival_s));

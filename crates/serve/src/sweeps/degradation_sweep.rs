@@ -30,16 +30,14 @@
 
 use std::process::ExitCode;
 
-use cta_bench::{parse_list, parse_num, FlagParser, JsonValue, SCHEMA_VERSION};
-use cta_sim::{CtaSystem, SystemConfig};
-use cta_workloads::{case_task, mini_case};
+use cta_bench::{FlagParser, JsonValue};
+use cta_sim::SystemConfig;
 
-use crate::harness::{export_trace, Harness, PointOutput, SweepSpec};
-use crate::{
-    poisson_requests, simulate_fleet, simulate_fleet_traced, AdmissionPolicy, BatchPolicy,
-    CostModel, FaultPlan, FleetConfig, FleetEngine, FleetReport, LoadSpec, RoutingPolicy,
-    ServeRequest, ShedReason,
+use crate::harness::{
+    mini_workload, offered_rate, ExtractFn, FleetFlag, FleetFlags, FleetPoint, FleetSweep, Harness,
+    PointFn, SweepArgs, SweepSpec,
 };
+use crate::{poisson_requests, FleetEngine, ShedReason};
 
 /// Usage text printed to stderr on any malformed invocation.
 const USAGE: &str = "usage: degradation_sweep [--replicas 4] [--load 0.8] [--requests 300]
@@ -49,115 +47,61 @@ const USAGE: &str = "usage: degradation_sweep [--replicas 4] [--load 0.8] [--req
                          [--engine step|event]
                          [--jobs N] [--pool-trace <path.json>]";
 
-/// CSV/stdout column layout; the trailing `schema_version` column repeats
-/// [`cta_bench::SCHEMA_VERSION`] on every row.
-const SWEEP_COLUMNS: &[&str] = &[
-    "mtbf_factor",
-    "crashes_per_replica",
-    "completed",
-    "shed_lost",
-    "shed_other",
-    "retried",
-    "retry_events",
-    "goodput_rps",
-    "p50_ms",
-    "p99_ms",
-    "min_avail",
-    "schema_version",
-];
+/// The sweep's declaration: CSV/stdout columns (the harness appends
+/// `schema_version`) and the shared fleet flags it takes.
+pub(crate) fn spec() -> SweepSpec {
+    use FleetFlag::*;
+    SweepSpec::new("degradation_sweep")
+        .usage(USAGE)
+        .columns(
+            "mtbf_factor,crashes_per_replica,completed,shed_lost,shed_other,\
+             retried,retry_events,goodput_rps,p50_ms,p99_ms,min_avail",
+        )
+        .fleet(
+            &[Seed, MttrFactor, Routing, Batch, QueueDepth, Trace, Engine],
+            FleetFlags::default(),
+        )
+}
 
 #[derive(Debug)]
 struct Args {
     replicas: usize,
     load: f64,
     requests: usize,
-    seed: u64,
     mtbf_factors: Vec<f64>,
-    mttr_factor: f64,
-    routing: RoutingPolicy,
-    batch: usize,
-    queue_depth: usize,
-    trace: Option<String>,
-    engine: FleetEngine,
 }
 
-impl Args {
-    fn parse(it: &mut FlagParser) -> Result<Self, String> {
-        let mut args = Args {
-            replicas: 4,
-            load: 0.8,
-            requests: 300,
-            seed: 7,
-            mtbf_factors: vec![4.0, 2.0, 1.0, 0.5, 0.25],
-            mttr_factor: 0.05,
-            routing: RoutingPolicy::JoinShortestQueue,
-            batch: 4,
-            queue_depth: 64,
-            trace: None,
-            engine: FleetEngine::StepGranular,
-        };
-        while let Some(flag) = it.next_flag() {
-            match flag.as_str() {
-                "--replicas" => {
-                    args.replicas =
-                        parse_num(&it.value("--replicas")?, "--replicas", "an integer")?;
-                }
-                "--load" => {
-                    args.load = parse_num(&it.value("--load")?, "--load", "a number")?;
-                }
-                "--requests" => {
-                    args.requests =
-                        parse_num(&it.value("--requests")?, "--requests", "an integer")?;
-                }
-                "--seed" => {
-                    args.seed = parse_num(&it.value("--seed")?, "--seed", "an integer")?;
-                }
-                "--mtbf-factors" => {
-                    args.mtbf_factors =
-                        parse_list(&it.value("--mtbf-factors")?, "--mtbf-factors", "numbers")?;
-                }
-                "--mttr-factor" => {
-                    args.mttr_factor =
-                        parse_num(&it.value("--mttr-factor")?, "--mttr-factor", "a number")?;
-                }
-                "--routing" => {
-                    let v = it.value("--routing")?;
-                    args.routing = RoutingPolicy::parse(&v)
-                        .ok_or_else(|| format!("unknown routing policy {v:?} (rr|jsq|low)"))?;
-                }
-                "--batch" => {
-                    args.batch = parse_num(&it.value("--batch")?, "--batch", "an integer")?;
-                }
-                "--queue-depth" => {
-                    args.queue_depth =
-                        parse_num(&it.value("--queue-depth")?, "--queue-depth", "an integer")?;
-                }
-                "--trace" => {
-                    args.trace = Some(it.value("--trace")?);
-                }
-                "--engine" => {
-                    let v = it.value("--engine")?;
-                    args.engine = FleetEngine::parse(&v)
-                        .ok_or_else(|| format!("unknown engine {v:?} (step|event)"))?;
-                }
-                other => return Err(format!("unknown flag {other:?}")),
-            }
+impl Default for Args {
+    fn default() -> Self {
+        Args { replicas: 4, load: 0.8, requests: 300, mtbf_factors: vec![4.0, 2.0, 1.0, 0.5, 0.25] }
+    }
+}
+
+impl SweepArgs for Args {
+    fn flag(&mut self, flag: &str, it: &mut FlagParser) -> Result<bool, String> {
+        match flag {
+            "--replicas" => self.replicas = it.num(flag, "an integer")?,
+            "--load" => self.load = it.num(flag, "a number")?,
+            "--requests" => self.requests = it.num(flag, "an integer")?,
+            "--mtbf-factors" => self.mtbf_factors = it.list(flag, "numbers")?,
+            _ => return Ok(false),
         }
-        if args.replicas == 0 || args.requests == 0 || args.batch == 0 || args.queue_depth == 0 {
-            return Err("--replicas, --requests, --batch and --queue-depth must be positive".into());
+        Ok(true)
+    }
+
+    fn validate(&self) -> Result<(), String> {
+        if self.replicas == 0 || self.requests == 0 {
+            return Err("--replicas and --requests must be positive".into());
         }
-        if !(args.load > 0.0 && args.load.is_finite()) {
+        if !(self.load > 0.0 && self.load.is_finite()) {
             return Err("--load must be positive and finite".into());
         }
-        if args.mtbf_factors.is_empty()
-            || args.mtbf_factors.iter().any(|f| !(*f > 0.0 && f.is_finite()))
+        if self.mtbf_factors.is_empty()
+            || self.mtbf_factors.iter().any(|f| !(*f > 0.0 && f.is_finite()))
         {
             return Err("--mtbf-factors must be a non-empty list of positive numbers".into());
         }
-        if !(args.mttr_factor > 0.0 && args.mttr_factor.is_finite()) {
-            return Err("--mttr-factor must be positive and finite".into());
-        }
-        Ok(args)
+        Ok(())
     }
 }
 
@@ -165,69 +109,64 @@ impl Args {
 /// and run the sweep; malformed flags print the usage text to stderr and
 /// exit non-zero.
 pub fn main(argv: impl Iterator<Item = String>) -> ExitCode {
-    SweepSpec::new("degradation_sweep").usage(USAGE).columns(SWEEP_COLUMNS).main(
-        argv,
-        Args::parse,
-        run,
-    )
+    spec().main(argv, run)
 }
 
-/// The fault plan for one sweep point; `factor = None` is the fault-free
-/// baseline.
-fn point_faults(args: &Args, requests: &[ServeRequest], factor: Option<f64>) -> FaultPlan {
-    match factor {
-        None => FaultPlan::none(),
-        Some(f) => {
-            let span = requests.last().map(|r| r.arrival_s).unwrap_or(0.0).max(1e-6);
-            FaultPlan::seeded(
-                args.replicas,
-                2.0 * span,
-                f * span,
-                args.mttr_factor * span,
-                args.seed,
-            )
-        }
-    }
-}
-
-/// One row of the degradation table plus its JSON mirror.
-fn summarise(report: &FleetReport) -> (usize, usize, f64, f64, f64, f64) {
-    let m = &report.metrics;
-    let shed_lost = report.shed.iter().filter(|s| s.reason == ShedReason::ReplicaLost).count();
-    let shed_other = m.shed - shed_lost;
-    let (p50, p99) = m.latency.as_ref().map_or((f64::NAN, f64::NAN), |l| (l.p50_s, l.p99_s));
-    let min_avail = m.per_replica_availability.iter().copied().fold(f64::INFINITY, f64::min);
-    (shed_lost, shed_other, m.goodput_rps, p50, p99, min_avail)
-}
-
-fn run(h: &Harness<Args>) {
-    let args = h.args();
-    let case = mini_case();
-    let spec = LoadSpec::standard(case_task(&case), case.model.layers, case.model.heads);
-
-    let system = CtaSystem::new(SystemConfig::paper());
-    let mut cost = CostModel::new();
-    let probe = poisson_requests(&spec, 1, 1.0, args.seed);
-    let solo = cost.request_service_s(&system, &probe[0]);
-
-    let rate = args.load * args.replicas as f64 / solo;
-    let requests = poisson_requests(&spec, args.requests, rate, args.seed);
+fn run(h: &Harness<Args>) -> Result<(), String> {
+    let (args, fleet) = (h.args(), h.fleet());
+    let w = mini_workload(SystemConfig::paper());
+    let rate = offered_rate(args.load, args.replicas, w.solo_s)?;
+    let requests = poisson_requests(&w.spec, args.requests, rate, fleet.seed);
     let span = requests.last().expect("non-empty trace").arrival_s;
-
-    let base = {
-        let mut cfg = FleetConfig::sharded(SystemConfig::paper(), args.replicas);
-        cfg.engine = args.engine;
-        cfg.routing = args.routing;
-        cfg.batch = BatchPolicy::up_to(args.batch);
-        cfg.admission = AdmissionPolicy::bounded(args.queue_depth);
-        cfg
-    };
 
     // Baseline first (no faults), then rising failure rate.
     let factors: Vec<Option<f64>> =
         std::iter::once(None).chain(args.mtbf_factors.iter().copied().map(Some)).collect();
 
-    h.run_grid(
+    let point: &PointFn<Option<f64>> = &|factor| {
+        let mut config = fleet.config(SystemConfig::paper(), args.replicas);
+        config.faults = fleet.faults(args.replicas, &requests, factor.unwrap_or(f64::INFINITY))?;
+        Ok(FleetPoint { config, requests: requests.clone() })
+    };
+    let extract: &ExtractFn<Option<f64>> = &|&factor, _, report, out| {
+        let m = &report.metrics;
+        // Conservation: every arrival is accounted for exactly once.
+        assert_eq!(m.completed + m.shed, args.requests, "accounting identity");
+        let shed_lost = report.shed.iter().filter(|s| s.reason == ShedReason::ReplicaLost).count();
+        let shed_other = m.shed - shed_lost;
+        let (p50, p99) = m.latency.as_ref().map_or((f64::NAN, f64::NAN), |l| (l.p50_s, l.p99_s));
+        let min_avail = m.per_replica_availability.iter().copied().fold(f64::INFINITY, f64::min);
+        let crashes = factor.map_or(0.0, |f| 1.0 / f);
+        out.row(vec![
+            factor.map_or("inf".into(), |f| format!("{f:.2}")),
+            format!("{crashes:.2}"),
+            m.completed.to_string(),
+            shed_lost.to_string(),
+            shed_other.to_string(),
+            m.retried.to_string(),
+            m.retry_events.to_string(),
+            format!("{:.1}", m.goodput_rps),
+            format!("{:.3}", p50 * 1e3),
+            format!("{:.3}", p99 * 1e3),
+            format!("{min_avail:.3}"),
+        ]);
+        out.point(JsonValue::obj(vec![
+            ("mtbf_factor", factor.map_or(JsonValue::Null, JsonValue::Num)),
+            ("crashes_per_replica", JsonValue::Num(crashes)),
+            ("completed", JsonValue::Int(m.completed as i64)),
+            ("shed", JsonValue::Int(m.shed as i64)),
+            ("shed_replica_lost", JsonValue::Int(shed_lost as i64)),
+            ("retried", JsonValue::Int(m.retried as i64)),
+            ("retry_events", JsonValue::Int(m.retry_events as i64)),
+            ("goodput_rps", JsonValue::Num(m.goodput_rps)),
+            ("p50_s", JsonValue::Num(p50)),
+            ("p99_s", JsonValue::Num(p99)),
+            ("min_availability", JsonValue::Num(min_avail)),
+            ("makespan_s", JsonValue::Num(m.makespan_s)),
+        ]));
+    };
+
+    h.run_fleet(
         &format!(
             "Degradation sweep — {} replicas @ load {:.2} ({:.1} rps, span {:.3} s), \
              MTTR {:.0}% of span, routing {}",
@@ -235,108 +174,63 @@ fn run(h: &Harness<Args>) {
             args.load,
             rate,
             span,
-            args.mttr_factor * 100.0,
-            args.routing.label()
+            fleet.mttr_factor * 100.0,
+            fleet.routing.label()
         ),
         &factors,
-        |&factor| {
-            let mut out = PointOutput::new();
-            let mut cfg = base.clone();
-            cfg.faults = point_faults(args, &requests, factor);
-            let report = simulate_fleet(&cfg, &requests);
-            let m = &report.metrics;
-            // Conservation: every arrival is accounted for exactly once.
-            assert_eq!(m.completed + m.shed, args.requests, "accounting identity");
-            let (shed_lost, shed_other, goodput, p50, p99, min_avail) = summarise(&report);
-            let crashes = factor.map_or(0.0, |f| 1.0 / f);
-            out.row(vec![
-                factor.map_or("inf".into(), |f| format!("{f:.2}")),
-                format!("{crashes:.2}"),
-                m.completed.to_string(),
-                shed_lost.to_string(),
-                shed_other.to_string(),
-                m.retried.to_string(),
-                m.retry_events.to_string(),
-                format!("{goodput:.1}"),
-                format!("{:.3}", p50 * 1e3),
-                format!("{:.3}", p99 * 1e3),
-                format!("{min_avail:.3}"),
-                SCHEMA_VERSION.to_string(),
-            ]);
-            out.point(JsonValue::obj(vec![
-                ("mtbf_factor", factor.map_or(JsonValue::Null, JsonValue::Num)),
-                ("crashes_per_replica", JsonValue::Num(crashes)),
-                ("completed", JsonValue::Int(m.completed as i64)),
-                ("shed", JsonValue::Int(m.shed as i64)),
-                ("shed_replica_lost", JsonValue::Int(shed_lost as i64)),
-                ("retried", JsonValue::Int(m.retried as i64)),
-                ("retry_events", JsonValue::Int(m.retry_events as i64)),
-                ("goodput_rps", JsonValue::Num(goodput)),
-                ("p50_s", JsonValue::Num(p50)),
-                ("p99_s", JsonValue::Num(p99)),
-                ("min_availability", JsonValue::Num(min_avail)),
-                ("makespan_s", JsonValue::Num(m.makespan_s)),
-            ]));
-            out
+        FleetSweep {
+            point,
+            extract,
+            // The harshest point: the fault lane (outages, slowdowns,
+            // requeues) shows next to the usual replica tracks.
+            trace_banner: &|factor, path| {
+                format!("Trace — MTBF factor {:.2} → {path}", factor.unwrap_or(f64::INFINITY))
+            },
+            trace: None,
         },
         |json| {
             json.set("experiment", JsonValue::Str("degradation_sweep".into()))
-                .set("case", JsonValue::Str(case.name()))
+                .set("case", JsonValue::Str(w.case.name()))
                 .set("replicas", JsonValue::Int(args.replicas as i64))
                 .set("load", JsonValue::Num(args.load))
                 .set("offered_rps", JsonValue::Num(rate))
                 .set("trace_span_s", JsonValue::Num(span))
-                .set("mttr_factor", JsonValue::Num(args.mttr_factor))
-                .set("routing", JsonValue::Str(args.routing.label().into()))
-                .set("batch", JsonValue::Int(args.batch as i64))
-                .set("queue_depth", JsonValue::Int(args.queue_depth as i64))
+                .set("mttr_factor", JsonValue::Num(fleet.mttr_factor))
+                .set("routing", JsonValue::Str(fleet.routing.label().into()))
+                .set("batch", JsonValue::Int(fleet.batch as i64))
+                .set("queue_depth", JsonValue::Int(fleet.queue_depth as i64))
                 .set("requests", JsonValue::Int(args.requests as i64))
-                .set("seed", JsonValue::Int(args.seed as i64));
+                .set("seed", JsonValue::Int(fleet.seed as i64));
             // Only non-default so the default report bytes stay pinned.
-            if args.engine != FleetEngine::StepGranular {
-                json.set("engine", JsonValue::Str(args.engine.label().into()));
+            if fleet.engine != FleetEngine::StepGranular {
+                json.set("engine", JsonValue::Str(fleet.engine.label().into()));
             }
         },
-    );
-
-    // Telemetry pass: re-run the harshest point with the ring buffer
-    // attached so the fault lane (outages, slowdowns, requeues) is
-    // visible next to the usual replica tracks.
-    if let Some(path) = &args.trace {
-        let factor = *args.mtbf_factors.last().expect("non-empty factors");
-        let mut cfg = base.clone();
-        cfg.faults = point_faults(args, &requests, Some(factor));
-        export_trace(path, &format!("Trace — MTBF factor {factor:.2} → {path}"), |sink| {
-            let _ = simulate_fleet_traced(&cfg, &requests, sink);
-        });
-    }
+    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::harness::Harness;
 
-    fn parse(words: &[&str]) -> Result<Args, String> {
-        Args::parse(&mut FlagParser::new(words.iter().map(|s| s.to_string())))
+    fn parse(words: &str) -> Result<Harness<Args>, String> {
+        spec().parse(words.split_whitespace().map(String::from))
     }
 
     #[test]
     fn args_parse_accepts_defaults_and_rejects_malformed_flags() {
-        let ok = parse(&[]).expect("defaults valid");
-        assert_eq!(ok.mtbf_factors, vec![4.0, 2.0, 1.0, 0.5, 0.25]);
-        assert!(parse(&["--bogus"]).unwrap_err().contains("unknown flag"));
-        assert!(parse(&["--load"]).unwrap_err().contains("needs a value"));
-        assert!(parse(&["--routing", "x"]).unwrap_err().contains("unknown routing policy"));
-        assert!(parse(&["--mtbf-factors", "0"]).unwrap_err().contains("positive"));
-        assert!(parse(&["--mttr-factor", "-1"]).unwrap_err().contains("positive"));
-        assert_eq!(ok.engine, FleetEngine::StepGranular);
-        assert_eq!(parse(&["--engine", "event"]).expect("valid").engine, FleetEngine::EventDriven);
-        assert!(parse(&["--engine", "warp"]).unwrap_err().contains("unknown engine"));
-    }
-
-    #[test]
-    fn csv_header_carries_schema_version() {
-        assert_eq!(SWEEP_COLUMNS.last(), Some(&"schema_version"));
-        assert_eq!(SCHEMA_VERSION, 2, "bump this pin alongside the layout");
+        let ok = parse("").expect("defaults valid");
+        assert_eq!(ok.args().mtbf_factors, vec![4.0, 2.0, 1.0, 0.5, 0.25]);
+        assert_eq!(ok.fleet().mttr_factor, 0.05);
+        assert!(parse("--bogus").unwrap_err().contains("unknown flag"));
+        assert!(parse("--load").unwrap_err().contains("needs a value"));
+        assert!(parse("--routing x").unwrap_err().contains("unknown routing policy"));
+        assert!(parse("--mtbf-factors 0").unwrap_err().contains("positive"));
+        assert!(parse("--mttr-factor -1").unwrap_err().contains("positive"));
+        assert_eq!(ok.fleet().engine, FleetEngine::StepGranular);
+        let event = parse("--engine event").expect("valid");
+        assert_eq!(event.fleet().engine, FleetEngine::EventDriven);
+        assert!(parse("--engine warp").unwrap_err().contains("unknown engine"));
     }
 }

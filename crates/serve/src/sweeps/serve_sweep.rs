@@ -65,15 +65,16 @@
 
 use std::process::ExitCode;
 
-use cta_bench::{parse_list, parse_num, FlagParser, JsonValue, SCHEMA_VERSION};
-use cta_sim::{CtaSystem, SystemConfig};
-use cta_workloads::{case_task, mini_case};
+use cta_bench::{FlagParser, JsonValue};
+use cta_sim::SystemConfig;
 
-use crate::harness::{export_trace, Harness, PointOutput, SweepSpec};
+use crate::harness::{
+    crash_plan, mini_workload, offered_rate, trace_span, ExtractFn, FleetFlag, FleetFlags,
+    FleetPoint, FleetSweep, Harness, PointFn, SweepArgs, SweepSpec,
+};
 use crate::{
-    diurnal_requests, poisson_requests, simulate_fleet, simulate_fleet_traced, AdmissionPolicy,
-    BatchPolicy, BrownoutConfig, CostModel, FaultPlan, FleetConfig, FleetEngine, LoadSpec,
-    OverloadControl, RoutingPolicy, SchedulerPolicy, ServeRequest, TenancyConfig,
+    diurnal_requests, poisson_requests, BrownoutConfig, FaultPlan, FleetEngine, LoadSpec,
+    OverloadControl, SchedulerPolicy, ServeRequest, TenancyConfig,
 };
 
 /// Usage text printed to stderr on any malformed invocation.
@@ -85,23 +86,18 @@ const USAGE: &str = "usage: serve_sweep [--replicas 1,4] [--loads 0.2,0.5,0.8,1.
                    [--tenants N] [--scheduler fifo|drr|wfq]
                    [--jobs N] [--pool-trace <path.json>]";
 
-/// CSV/stdout column layout. The trailing `schema_version` column repeats
-/// [`cta_bench::SCHEMA_VERSION`] on every row so a bare
-/// `results/serve_sweep.csv` identifies its layout generation without the
-/// JSON sidecar.
-const SWEEP_COLUMNS: &[&str] = &[
-    "replicas",
-    "load",
-    "offered_rps",
-    "completed",
-    "shed",
-    "tput_rps",
-    "goodput_rps",
-    "p50_ms",
-    "p99_ms",
-    "util",
-    "schema_version",
-];
+/// The sweep's declaration: CSV/stdout columns (the harness appends
+/// `schema_version`) and the shared fleet flags it takes.
+pub(crate) fn spec() -> SweepSpec {
+    use FleetFlag::*;
+    SweepSpec::new("serve_sweep")
+        .usage(USAGE)
+        .columns(
+            "replicas,load,offered_rps,completed,shed,tput_rps,goodput_rps,p50_ms,\
+             p99_ms,util",
+        )
+        .fleet(&[Seed, Batch, QueueDepth, Routing, Engine, Trace], FleetFlags::default())
+}
 
 /// A parsed `--faults mtbf:mttr` spec (both in seconds).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -157,19 +153,28 @@ struct Args {
     replicas: Vec<usize>,
     loads: Vec<f64>,
     requests: usize,
-    seed: u64,
-    routing: RoutingPolicy,
-    batch: usize,
-    queue_depth: usize,
-    trace: Option<String>,
     faults: Option<FaultSpec>,
     brownout: bool,
-    engine: FleetEngine,
     arrivals: Arrivals,
     /// `Some` when `--tenants` or `--scheduler` was given: the tenancy
     /// front end is enabled with this many equal-weight tenants.
     tenants: Option<u32>,
     scheduler: SchedulerPolicy,
+}
+
+impl Default for Args {
+    fn default() -> Self {
+        Args {
+            replicas: vec![1, 4],
+            loads: vec![0.2, 0.5, 0.8, 1.1, 1.5],
+            requests: 200,
+            faults: None,
+            brownout: false,
+            arrivals: Arrivals::Poisson,
+            tenants: None,
+            scheduler: SchedulerPolicy::Drr,
+        }
+    }
 }
 
 impl Args {
@@ -179,106 +184,50 @@ impl Args {
     }
 }
 
-impl Args {
-    fn parse(it: &mut FlagParser) -> Result<Self, String> {
-        let mut args = Args {
-            replicas: vec![1, 4],
-            loads: vec![0.2, 0.5, 0.8, 1.1, 1.5],
-            requests: 200,
-            seed: 7,
-            routing: RoutingPolicy::JoinShortestQueue,
-            batch: 4,
-            queue_depth: 64,
-            trace: None,
-            faults: None,
-            brownout: false,
-            engine: FleetEngine::StepGranular,
-            arrivals: Arrivals::Poisson,
-            tenants: None,
-            scheduler: SchedulerPolicy::Drr,
-        };
-        while let Some(flag) = it.next_flag() {
-            match flag.as_str() {
-                "--replicas" => {
-                    args.replicas = parse_list(&it.value("--replicas")?, "--replicas", "integers")?;
-                }
-                "--loads" => {
-                    args.loads = parse_list(&it.value("--loads")?, "--loads", "numbers")?;
-                }
-                "--requests" => {
-                    args.requests =
-                        parse_num(&it.value("--requests")?, "--requests", "an integer")?;
-                }
-                "--seed" => {
-                    args.seed = parse_num(&it.value("--seed")?, "--seed", "an integer")?;
-                }
-                "--routing" => {
-                    let v = it.value("--routing")?;
-                    args.routing = RoutingPolicy::parse(&v)
-                        .ok_or_else(|| format!("unknown routing policy {v:?} (rr|jsq|low)"))?;
-                }
-                "--batch" => {
-                    args.batch = parse_num(&it.value("--batch")?, "--batch", "an integer")?;
-                }
-                "--queue-depth" => {
-                    args.queue_depth =
-                        parse_num(&it.value("--queue-depth")?, "--queue-depth", "an integer")?;
-                }
-                "--trace" => {
-                    args.trace = Some(it.value("--trace")?);
-                }
-                "--faults" => {
-                    args.faults = Some(FaultSpec::parse(&it.value("--faults")?)?);
-                }
-                // A bare switch: the brownout ladder and controller are
-                // the calibrated standards, not CLI-tunable knobs.
-                "--brownout" => args.brownout = true,
-                "--engine" => {
-                    let v = it.value("--engine")?;
-                    args.engine = FleetEngine::parse(&v)
-                        .ok_or_else(|| format!("unknown engine {v:?} (step|event)"))?;
-                }
-                "--arrivals" => {
-                    let v = it.value("--arrivals")?;
-                    args.arrivals = Arrivals::parse(&v).ok_or_else(|| {
-                        format!("unknown arrival process {v:?} (poisson|diurnal)")
-                    })?;
-                }
-                "--tenants" => {
-                    args.tenants =
-                        Some(parse_num(&it.value("--tenants")?, "--tenants", "an integer")?);
-                }
-                "--scheduler" => {
-                    let v = it.value("--scheduler")?;
-                    args.scheduler = SchedulerPolicy::parse(&v)
-                        .ok_or_else(|| format!("unknown scheduler {v:?} (fifo|drr|wfq)"))?;
-                    args.tenants.get_or_insert(1);
-                }
-                other => return Err(format!("unknown flag {other:?}")),
+impl SweepArgs for Args {
+    fn flag(&mut self, flag: &str, it: &mut FlagParser) -> Result<bool, String> {
+        match flag {
+            "--replicas" => self.replicas = it.list(flag, "integers")?,
+            "--loads" => self.loads = it.list(flag, "numbers")?,
+            "--requests" => self.requests = it.num(flag, "an integer")?,
+            "--faults" => self.faults = Some(FaultSpec::parse(&it.value(flag)?)?),
+            // A bare switch: the brownout ladder and controller are the
+            // calibrated standards, not CLI-tunable knobs.
+            "--brownout" => self.brownout = true,
+            "--arrivals" => {
+                let v = it.value(flag)?;
+                self.arrivals = Arrivals::parse(&v)
+                    .ok_or_else(|| format!("unknown arrival process {v:?} (poisson|diurnal)"))?;
             }
+            "--tenants" => self.tenants = Some(it.num(flag, "an integer")?),
+            "--scheduler" => {
+                let v = it.value(flag)?;
+                self.scheduler = SchedulerPolicy::parse(&v)
+                    .ok_or_else(|| format!("unknown scheduler {v:?} (fifo|drr|wfq)"))?;
+                self.tenants.get_or_insert(1);
+            }
+            _ => return Ok(false),
         }
-        if args.replicas.is_empty() || args.loads.is_empty() {
+        Ok(true)
+    }
+
+    fn validate(&self) -> Result<(), String> {
+        if self.replicas.is_empty() || self.loads.is_empty() {
             return Err("empty sweep: --replicas and --loads must be non-empty".into());
         }
-        if args.loads.iter().any(|l| !(*l > 0.0 && l.is_finite())) {
+        if self.loads.iter().any(|l| !(*l > 0.0 && l.is_finite())) {
             return Err("--loads must be a non-empty list of positive numbers".into());
         }
-        if args.batch == 0 {
-            return Err("--batch must be positive".into());
-        }
-        if args.queue_depth == 0 {
-            return Err("--queue-depth must be positive".into());
-        }
-        if args.requests == 0 {
+        if self.requests == 0 {
             return Err("--requests must be positive".into());
         }
-        if args.replicas.contains(&0) {
+        if self.replicas.contains(&0) {
             return Err("--replicas entries must be positive".into());
         }
-        if args.tenants == Some(0) {
+        if self.tenants == Some(0) {
             return Err("--tenants must be positive".into());
         }
-        Ok(args)
+        Ok(())
     }
 }
 
@@ -286,43 +235,7 @@ impl Args {
 /// and run the sweep; malformed flags print the usage text to stderr and
 /// exit non-zero.
 pub fn main(argv: impl Iterator<Item = String>) -> ExitCode {
-    SweepSpec::new("serve_sweep").usage(USAGE).columns(SWEEP_COLUMNS).main(argv, Args::parse, run)
-}
-
-/// The fault plan for one sweep point: a seeded MTBF/MTTR schedule over
-/// twice the trace span (so outages can land anywhere in the run),
-/// deterministic in (spec, replicas, trace, seed).
-fn point_faults(
-    spec: Option<FaultSpec>,
-    replicas: usize,
-    requests: &[ServeRequest],
-    seed: u64,
-) -> FaultPlan {
-    match spec {
-        None => FaultPlan::none(),
-        Some(f) => {
-            let span = requests.last().map(|r| r.arrival_s).unwrap_or(0.0).max(1e-6);
-            FaultPlan::seeded(replicas, 2.0 * span, f.mtbf_s, f.mttr_s, seed)
-        }
-    }
-}
-
-/// The fleet configuration for one sweep point (faults attached later,
-/// once the point's arrival trace exists).
-fn point_config(args: &Args, replicas: usize) -> FleetConfig {
-    let mut cfg = FleetConfig::sharded(SystemConfig::paper(), replicas);
-    cfg.engine = args.engine;
-    cfg.routing = args.routing;
-    cfg.batch = BatchPolicy::up_to(args.batch);
-    cfg.admission = AdmissionPolicy::bounded(args.queue_depth);
-    if args.brownout {
-        cfg.overload = OverloadControl {
-            brownout: Some(BrownoutConfig::standard()),
-            ..OverloadControl::off()
-        };
-    }
-    cfg.tenancy = args.tenancy();
-    cfg
+    spec().main(argv, run)
 }
 
 /// The arrival trace for one sweep point, from [`poisson_requests`] or
@@ -345,131 +258,134 @@ fn point_requests(args: &Args, spec: &LoadSpec, rate: f64, seed: u64) -> Vec<Ser
     }
 }
 
-fn run(h: &Harness<Args>) {
-    let args = h.args();
-    let case = mini_case();
-    let spec = LoadSpec::standard(case_task(&case), case.model.layers, case.model.heads);
+/// One grid point: replica count, load multiplier and its offered rate.
+type Point = (usize, f64, f64);
 
-    // Fleet capacity normalisation: one replica serves one request every
-    // `solo` seconds when nothing queues.
-    let system = CtaSystem::new(SystemConfig::paper());
-    let mut cost = CostModel::new();
-    let probe = poisson_requests(&spec, 1, 1.0, args.seed);
-    let solo = cost.request_service_s(&system, &probe[0]);
+fn run(h: &Harness<Args>) -> Result<(), String> {
+    let (args, fleet) = (h.args(), h.fleet());
+    let w = mini_workload(SystemConfig::paper());
+    let case = &w.case;
 
-    let grid: Vec<(usize, f64)> = args
-        .replicas
-        .iter()
+    // Offered rates relative to the fleet's no-queueing capacity.
+    let grid = (args.replicas.iter())
         .flat_map(|&replicas| args.loads.iter().map(move |&load| (replicas, load)))
-        .collect();
+        .map(|(replicas, load)| Ok((replicas, load, offered_rate(load, replicas, w.solo_s)?)))
+        .collect::<Result<Vec<Point>, String>>()?;
 
-    h.run_grid(
+    let point: &PointFn<Point> = &|&(replicas, _, rate)| {
+        let requests = point_requests(args, &w.spec, rate, fleet.seed);
+        let mut config = fleet.config(SystemConfig::paper(), replicas);
+        if args.brownout {
+            config.overload = OverloadControl {
+                brownout: Some(BrownoutConfig::standard()),
+                ..OverloadControl::off()
+            };
+        }
+        config.tenancy = args.tenancy();
+        config.faults = match args.faults {
+            None => FaultPlan::none(),
+            Some(f) => crash_plan(replicas, trace_span(&requests), f.mtbf_s, f.mttr_s, fleet.seed)?,
+        };
+        Ok(FleetPoint { config, requests })
+    };
+    let extract: &ExtractFn<Point> = &|&(replicas, load, rate), _, report, out| {
+        let m = &report.metrics;
+        let (p50, p99, tput) = m
+            .latency
+            .as_ref()
+            .map_or((f64::NAN, f64::NAN, 0.0), |l| (l.p50_s, l.p99_s, l.throughput_rps));
+        let util =
+            m.per_replica_utilization.iter().sum::<f64>() / m.per_replica_utilization.len() as f64;
+        out.row(vec![
+            replicas.to_string(),
+            format!("{load:.2}"),
+            format!("{rate:.1}"),
+            m.completed.to_string(),
+            m.shed.to_string(),
+            format!("{tput:.1}"),
+            format!("{:.1}", m.goodput_rps),
+            format!("{:.3}", p50 * 1e3),
+            format!("{:.3}", p99 * 1e3),
+            format!("{util:.2}"),
+        ]);
+        let mut fields = vec![
+            ("replicas", JsonValue::Int(replicas as i64)),
+            ("load", JsonValue::Num(load)),
+            ("offered_rps", JsonValue::Num(rate)),
+            ("offered", JsonValue::Int(m.offered as i64)),
+            ("completed", JsonValue::Int(m.completed as i64)),
+            ("shed", JsonValue::Int(m.shed as i64)),
+            ("shed_rate", JsonValue::Num(m.shed_rate)),
+            ("throughput_rps", JsonValue::Num(tput)),
+            ("goodput_rps", JsonValue::Num(m.goodput_rps)),
+            ("p50_s", JsonValue::Num(p50)),
+            ("p99_s", JsonValue::Num(p99)),
+            ("mean_utilization", JsonValue::Num(util)),
+            ("makespan_s", JsonValue::Num(m.makespan_s)),
+        ];
+        // Fault fields ride along only when --faults is given so the
+        // default report layout is byte-identical to the healthy sweep.
+        if args.faults.is_some() {
+            let min_avail =
+                m.per_replica_availability.iter().copied().fold(f64::INFINITY, f64::min);
+            fields.extend([
+                ("retried", JsonValue::Int(m.retried as i64)),
+                ("retry_events", JsonValue::Int(m.retry_events as i64)),
+                ("min_availability", JsonValue::Num(min_avail)),
+            ]);
+        }
+        // Per-tenant isolation numbers ride along only for genuinely
+        // multi-tenant runs, so `--tenants 1` stays byte-identical to
+        // the tenancy-off report.
+        if args.tenants.is_some_and(|n| n > 1) {
+            let t = m.tenancy.as_ref().expect("tenancy stats reported");
+            fields.extend([
+                ("fairness_index", JsonValue::Num(t.fairness_index)),
+                ("max_slowdown", JsonValue::Num(t.max_slowdown)),
+            ]);
+        }
+        // Likewise, brownout attribution only with --brownout.
+        if args.brownout {
+            let ov = &m.overload;
+            fields.extend([
+                ("mean_accuracy_loss_pct", JsonValue::Num(ov.mean_accuracy_loss_pct)),
+                ("max_accuracy_loss_pct", JsonValue::Num(ov.max_accuracy_loss_pct)),
+                ("brownout_transitions", JsonValue::Int(ov.brownout_transitions as i64)),
+                ("brownout_s", JsonValue::Num(ov.per_replica_brownout_s.iter().sum())),
+            ]);
+        }
+        out.point(JsonValue::obj(fields));
+    };
+
+    h.run_fleet(
         &format!(
             "Fleet serving sweep — {}×{} heads/layer, solo service {:.3} ms, routing {}",
             case.model.layers,
             case.model.heads,
-            solo * 1e3,
-            args.routing.label()
+            w.solo_s * 1e3,
+            fleet.routing.label()
         ),
         &grid,
-        |&(replicas, load)| {
-            let mut out = PointOutput::new();
-            let mut cfg = point_config(args, replicas);
-            let rate = load * replicas as f64 / solo;
-            let requests = point_requests(args, &spec, rate, args.seed);
-            cfg.faults = point_faults(args.faults, replicas, &requests, args.seed);
-            let report = simulate_fleet(&cfg, &requests);
-            let m = &report.metrics;
-            let (p50, p99, tput) = m
-                .latency
-                .as_ref()
-                .map_or((f64::NAN, f64::NAN, 0.0), |l| (l.p50_s, l.p99_s, l.throughput_rps));
-            let util = m.per_replica_utilization.iter().sum::<f64>()
-                / m.per_replica_utilization.len() as f64;
-            out.row(vec![
-                replicas.to_string(),
-                format!("{load:.2}"),
-                format!("{rate:.1}"),
-                m.completed.to_string(),
-                m.shed.to_string(),
-                format!("{tput:.1}"),
-                format!("{:.1}", m.goodput_rps),
-                format!("{:.3}", p50 * 1e3),
-                format!("{:.3}", p99 * 1e3),
-                format!("{util:.2}"),
-                SCHEMA_VERSION.to_string(),
-            ]);
-            let mut point = JsonValue::obj(vec![
-                ("replicas", JsonValue::Int(replicas as i64)),
-                ("load", JsonValue::Num(load)),
-                ("offered_rps", JsonValue::Num(rate)),
-                ("offered", JsonValue::Int(m.offered as i64)),
-                ("completed", JsonValue::Int(m.completed as i64)),
-                ("shed", JsonValue::Int(m.shed as i64)),
-                ("shed_rate", JsonValue::Num(m.shed_rate)),
-                ("throughput_rps", JsonValue::Num(tput)),
-                ("goodput_rps", JsonValue::Num(m.goodput_rps)),
-                ("p50_s", JsonValue::Num(p50)),
-                ("p99_s", JsonValue::Num(p99)),
-                ("mean_utilization", JsonValue::Num(util)),
-                ("makespan_s", JsonValue::Num(m.makespan_s)),
-            ]);
-            // Fault fields ride along only when --faults is given so the
-            // default report layout is byte-identical to the healthy sweep.
-            if args.faults.is_some() {
-                let min_avail =
-                    m.per_replica_availability.iter().copied().fold(f64::INFINITY, f64::min);
-                if let JsonValue::Obj(fields) = &mut point {
-                    fields.push(("retried".into(), JsonValue::Int(m.retried as i64)));
-                    fields.push(("retry_events".into(), JsonValue::Int(m.retry_events as i64)));
-                    fields.push(("min_availability".into(), JsonValue::Num(min_avail)));
-                }
-            }
-            // Per-tenant isolation numbers ride along only for genuinely
-            // multi-tenant runs, so `--tenants 1` stays byte-identical to
-            // the tenancy-off report.
-            if args.tenants.is_some_and(|n| n > 1) {
-                let t = report.metrics.tenancy.as_ref().expect("tenancy stats reported");
-                if let JsonValue::Obj(fields) = &mut point {
-                    fields.push(("fairness_index".into(), JsonValue::Num(t.fairness_index)));
-                    fields.push(("max_slowdown".into(), JsonValue::Num(t.max_slowdown)));
-                }
-            }
-            // Likewise, brownout attribution only with --brownout.
-            if args.brownout {
-                let ov = &m.overload;
-                let brownout_s: f64 = ov.per_replica_brownout_s.iter().sum();
-                if let JsonValue::Obj(fields) = &mut point {
-                    fields.push((
-                        "mean_accuracy_loss_pct".into(),
-                        JsonValue::Num(ov.mean_accuracy_loss_pct),
-                    ));
-                    fields.push((
-                        "max_accuracy_loss_pct".into(),
-                        JsonValue::Num(ov.max_accuracy_loss_pct),
-                    ));
-                    fields.push((
-                        "brownout_transitions".into(),
-                        JsonValue::Int(ov.brownout_transitions as i64),
-                    ));
-                    fields.push(("brownout_s".into(), JsonValue::Num(brownout_s)));
-                }
-            }
-            out.point(point);
-            out
+        FleetSweep {
+            point,
+            extract,
+            trace_banner: &|&(replicas, load, _), path| {
+                format!("Trace — {replicas} replicas @ load {load:.2} → {path}")
+            },
+            trace: None,
         },
         |json| {
             json.set("experiment", JsonValue::Str("serve_sweep".into()))
                 .set("case", JsonValue::Str(case.name()))
                 .set("layers", JsonValue::Int(case.model.layers as i64))
                 .set("heads", JsonValue::Int(case.model.heads as i64))
-                .set("solo_service_s", JsonValue::Num(solo))
-                .set("routing", JsonValue::Str(args.routing.label().into()))
-                .set("batch", JsonValue::Int(args.batch as i64))
-                .set("queue_depth", JsonValue::Int(args.queue_depth as i64))
+                .set("solo_service_s", JsonValue::Num(w.solo_s))
+                .set("routing", JsonValue::Str(fleet.routing.label().into()))
+                .set("batch", JsonValue::Int(fleet.batch as i64))
+                .set("queue_depth", JsonValue::Int(fleet.queue_depth as i64))
                 .set("requests_per_point", JsonValue::Int(args.requests as i64))
-                .set("seed", JsonValue::Int(args.seed as i64))
-                .set("distinct_task_shapes", JsonValue::Int(cost.distinct_shapes() as i64));
+                .set("seed", JsonValue::Int(fleet.seed as i64))
+                .set("distinct_task_shapes", JsonValue::Int(w.distinct_shapes as i64));
             if let Some(f) = args.faults {
                 json.set("fault_mtbf_s", JsonValue::Num(f.mtbf_s))
                     .set("fault_mttr_s", JsonValue::Num(f.mttr_s));
@@ -480,8 +396,8 @@ fn run(h: &Harness<Args>) {
             // Engine/arrivals metadata only when non-default, so the
             // default report bytes stay pinned (and a step-vs-event CSV
             // diff is the whole equivalence check).
-            if args.engine != FleetEngine::StepGranular {
-                json.set("engine", JsonValue::Str(args.engine.label().into()));
+            if fleet.engine != FleetEngine::StepGranular {
+                json.set("engine", JsonValue::Str(fleet.engine.label().into()));
             }
             if args.arrivals != Arrivals::Poisson {
                 json.set("arrivals", JsonValue::Str(args.arrivals.label().into()));
@@ -493,115 +409,101 @@ fn run(h: &Harness<Args>) {
                     .set("scheduler", JsonValue::Str(args.scheduler.label().into()));
             }
         },
-    );
-
-    // Telemetry pass: re-run the final sweep point with the ring buffer
-    // attached and export a Chrome trace. The traced run reproduces the
-    // untraced one bit for bit (NullSink vs RingBufferSink is pinned by
-    // the determinism-guard test), so the sweep numbers above still
-    // describe exactly what the trace shows.
-    if let Some(path) = &args.trace {
-        let replicas = *args.replicas.last().expect("non-empty sweep");
-        let load = *args.loads.last().expect("non-empty sweep");
-        let mut cfg = point_config(args, replicas);
-        let rate = load * replicas as f64 / solo;
-        let requests = point_requests(args, &spec, rate, args.seed);
-        cfg.faults = point_faults(args.faults, replicas, &requests, args.seed);
-        export_trace(
-            path,
-            &format!("Trace — {replicas} replicas @ load {load:.2} → {path}"),
-            |sink| {
-                let _ = simulate_fleet_traced(&cfg, &requests, sink);
-            },
-        );
-    }
+    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::RoutingPolicy;
 
-    fn parse(words: &[&str]) -> Result<Args, String> {
-        Args::parse(&mut FlagParser::new(words.iter().map(|s| s.to_string())))
+    fn parse(words: &str) -> Result<Harness<Args>, String> {
+        spec().parse(words.split_whitespace().map(String::from))
     }
 
     #[test]
     fn args_parse_reports_malformed_flags_instead_of_panicking() {
-        assert!(parse(&[]).is_ok());
-        assert!(!parse(&[]).unwrap().brownout);
-        let ok = parse(&["--routing", "rr", "--faults", "5:0.5", "--brownout"]).expect("valid");
-        assert_eq!(ok.routing, RoutingPolicy::RoundRobin);
-        assert_eq!(ok.faults, Some(FaultSpec { mtbf_s: 5.0, mttr_s: 0.5 }));
-        assert!(ok.brownout);
+        assert!(parse("").is_ok());
+        assert!(!parse("").unwrap().args().brownout);
+        let ok = parse("--routing rr --faults 5:0.5 --brownout").expect("valid");
+        assert_eq!(ok.fleet().routing, RoutingPolicy::RoundRobin);
+        assert_eq!(ok.args().faults, Some(FaultSpec { mtbf_s: 5.0, mttr_s: 0.5 }));
+        assert!(ok.args().brownout);
         // --brownout is a bare switch: a trailing word is a flag error.
-        assert!(parse(&["--brownout", "yes"]).unwrap_err().contains("unknown flag"));
+        assert!(parse("--brownout yes").unwrap_err().contains("unknown flag"));
 
-        assert!(parse(&["--bogus"]).unwrap_err().contains("unknown flag"));
-        assert!(parse(&["--seed"]).unwrap_err().contains("needs a value"));
-        assert!(parse(&["--routing", "chaotic"]).unwrap_err().contains("unknown routing policy"));
-        assert!(parse(&["--loads", "0.5,oops"]).unwrap_err().contains("--loads"));
+        assert!(parse("--bogus").unwrap_err().contains("unknown flag"));
+        assert!(parse("--mttr-factor 0.1").unwrap_err().contains("unknown flag"));
+        assert!(parse("--seed").unwrap_err().contains("needs a value"));
+        assert!(parse("--routing chaotic").unwrap_err().contains("unknown routing policy"));
+        assert!(parse("--loads 0.5,oops").unwrap_err().contains("--loads"));
         for bad in ["0", "-1", "nan", "inf", "0.5,0"] {
             assert!(
-                parse(&["--loads", bad]).unwrap_err().contains("positive numbers"),
+                parse(&format!("--loads {bad}")).unwrap_err().contains("positive numbers"),
                 "--loads {bad} must be rejected"
             );
         }
-        assert!(parse(&["--faults", "5"]).unwrap_err().contains("mtbf"));
-        assert!(parse(&["--faults", "0:1"]).unwrap_err().contains("positive"));
-        assert!(parse(&["--replicas", "0"]).unwrap_err().contains("positive"));
-        assert!(parse(&["--batch", "0"]).unwrap_err().contains("positive"));
+        assert!(parse("--faults 5").unwrap_err().contains("mtbf"));
+        assert!(parse("--faults 0:1").unwrap_err().contains("positive"));
+        assert!(parse("--replicas 0").unwrap_err().contains("positive"));
+        assert!(parse("--batch 0").unwrap_err().contains("positive"));
     }
 
     #[test]
     fn engine_and_arrivals_flags_parse_with_step_poisson_defaults() {
-        let d = parse(&[]).expect("defaults");
-        assert_eq!(d.engine, FleetEngine::StepGranular);
-        assert_eq!(d.arrivals, Arrivals::Poisson);
-        let ev = parse(&["--engine", "event", "--arrivals", "diurnal"]).expect("valid");
-        assert_eq!(ev.engine, FleetEngine::EventDriven);
-        assert_eq!(ev.arrivals, Arrivals::Diurnal);
-        assert!(parse(&["--engine", "warp"]).unwrap_err().contains("unknown engine"));
-        assert!(parse(&["--arrivals", "tidal"]).unwrap_err().contains("unknown arrival process"));
+        let d = parse("").expect("defaults");
+        assert_eq!(d.fleet().engine, FleetEngine::StepGranular);
+        assert_eq!(d.args().arrivals, Arrivals::Poisson);
+        let ev = parse("--engine event --arrivals diurnal").expect("valid");
+        assert_eq!(ev.fleet().engine, FleetEngine::EventDriven);
+        assert_eq!(ev.args().arrivals, Arrivals::Diurnal);
+        assert!(parse("--engine warp").unwrap_err().contains("unknown engine"));
+        assert!(parse("--arrivals tidal").unwrap_err().contains("unknown arrival process"));
     }
 
     #[test]
     fn tenancy_flags_default_off_and_parse_gracefully() {
-        let d = parse(&[]).expect("defaults");
-        assert_eq!(d.tenants, None, "tenancy stays off without a flag");
-        assert!(d.tenancy().is_none());
+        let d = parse("").expect("defaults");
+        assert_eq!(d.args().tenants, None, "tenancy stays off without a flag");
+        assert!(d.args().tenancy().is_none());
         // --scheduler alone implies a single tenant, the pinned replay
         // configuration.
-        let one = parse(&["--scheduler", "drr"]).expect("valid");
-        assert_eq!(one.tenants, Some(1));
-        assert_eq!(one.tenancy(), Some(TenancyConfig::equal_weight(1, SchedulerPolicy::Drr)));
-        let many = parse(&["--tenants", "4", "--scheduler", "wfq"]).expect("valid");
-        assert_eq!(many.tenancy(), Some(TenancyConfig::equal_weight(4, SchedulerPolicy::Wfq)));
-        assert!(parse(&["--tenants", "0"]).unwrap_err().contains("positive"));
-        assert!(parse(&["--tenants", "many"]).unwrap_err().contains("--tenants"));
-        assert!(parse(&["--scheduler", "chaos"]).unwrap_err().contains("unknown scheduler"));
+        let one = parse("--scheduler drr").expect("valid");
+        assert_eq!(one.args().tenants, Some(1));
+        assert_eq!(
+            one.args().tenancy(),
+            Some(TenancyConfig::equal_weight(1, SchedulerPolicy::Drr))
+        );
+        let many = parse("--tenants 4 --scheduler wfq").expect("valid");
+        assert_eq!(
+            many.args().tenancy(),
+            Some(TenancyConfig::equal_weight(4, SchedulerPolicy::Wfq))
+        );
+        assert!(parse("--tenants 0").unwrap_err().contains("positive"));
+        assert!(parse("--tenants many").unwrap_err().contains("--tenants"));
+        assert!(parse("--scheduler chaos").unwrap_err().contains("unknown scheduler"));
     }
 
     #[test]
     fn multi_tenant_requests_are_striped_round_robin() {
-        let args = parse(&["--tenants", "3", "--requests", "30"]).expect("valid");
-        let case = mini_case();
-        let spec = LoadSpec::standard(case_task(&case), case.model.layers, case.model.heads);
-        let reqs = point_requests(&args, &spec, 50.0, 7);
+        let h = parse("--tenants 3 --requests 30").expect("valid");
+        let spec = mini_workload(SystemConfig::paper()).spec;
+        let reqs = point_requests(h.args(), &spec, 50.0, 7);
         assert!(reqs.iter().all(|r| r.tenant == (r.id % 3) as u32));
         // Single-tenant parses leave the trace untouched (tenant 0 is
         // the default id), so the golden replay sees identical inputs.
-        let one = parse(&["--scheduler", "drr", "--requests", "30"]).expect("valid");
-        assert_eq!(point_requests(&one, &spec, 50.0, 7), {
-            let off = parse(&["--requests", "30"]).expect("valid");
-            point_requests(&off, &spec, 50.0, 7)
-        });
+        let one = parse("--scheduler drr --requests 30").expect("valid");
+        let off = parse("--requests 30").expect("valid");
+        assert_eq!(
+            point_requests(one.args(), &spec, 50.0, 7),
+            point_requests(off.args(), &spec, 50.0, 7)
+        );
     }
 
     #[test]
     fn diurnal_points_are_sorted_deterministic_and_distinct_from_poisson() {
-        let mut args = parse(&["--arrivals", "diurnal", "--requests", "100"]).expect("valid");
-        let case = mini_case();
-        let spec = LoadSpec::standard(case_task(&case), case.model.layers, case.model.heads);
+        let mut args = Args { arrivals: Arrivals::Diurnal, requests: 100, ..Args::default() };
+        let spec = mini_workload(SystemConfig::paper()).spec;
         let a = point_requests(&args, &spec, 50.0, 7);
         let b = point_requests(&args, &spec, 50.0, 7);
         assert_eq!(a, b, "diurnal traces are seeded");
@@ -610,17 +512,5 @@ mod tests {
         args.arrivals = Arrivals::Poisson;
         let p = point_requests(&args, &spec, 50.0, 7);
         assert_ne!(a, p, "diurnal modulation changes the trace");
-    }
-
-    #[test]
-    fn csv_header_carries_schema_version() {
-        assert_eq!(SWEEP_COLUMNS.last(), Some(&"schema_version"));
-        assert_eq!(SCHEMA_VERSION, 2, "bump this pin alongside the layout");
-        // Header renders exactly as downstream plotting scripts expect.
-        let t = cta_bench::CsvTable::new("serve_sweep", SWEEP_COLUMNS);
-        assert!(t.to_csv().starts_with(
-            "replicas,load,offered_rps,completed,shed,tput_rps,\
-             goodput_rps,p50_ms,p99_ms,util,schema_version\n"
-        ));
     }
 }

@@ -48,15 +48,17 @@
 
 use std::process::ExitCode;
 
-use cta_bench::{parse_list, parse_num, FlagParser, JsonValue, SCHEMA_VERSION};
-use cta_sim::{CtaSystem, SystemConfig};
-use cta_workloads::{case_task, mini_case, TenantMix};
+use cta_bench::{FlagParser, JsonValue};
+use cta_sim::SystemConfig;
+use cta_workloads::TenantMix;
 
-use crate::harness::{export_trace, Harness, PointOutput, SweepSpec};
+use crate::harness::{
+    mini_workload, offered_rate, ExtractFn, FleetFlag, FleetFlags, FleetPoint, FleetSweep, Harness,
+    PointFn, SweepArgs, SweepSpec,
+};
 use crate::{
-    poisson_requests, simulate_fleet, simulate_fleet_traced, AdmissionPolicy, AutoscalePolicy,
-    Backpressure, BatchPolicy, CostModel, FleetConfig, FleetEngine, LoadSpec, QosClass,
-    QuotaPolicy, RoutingPolicy, SchedulerPolicy, ServeRequest, TenancyConfig,
+    poisson_requests, AutoscalePolicy, Backpressure, LoadSpec, QosClass, QuotaPolicy,
+    SchedulerPolicy, ServeRequest, TenancyConfig,
 };
 
 /// Usage text printed to stderr on any malformed invocation.
@@ -67,24 +69,22 @@ const USAGE: &str = "usage: tenant_sweep [--tenants 16] [--skew 0,1] [--schedule
                     [--engine step|event] [--trace <path.json>]
                     [--jobs N] [--pool-trace <path.json>]";
 
-/// CSV/stdout column layout; the trailing `schema_version` column repeats
-/// [`cta_bench::SCHEMA_VERSION`] on every row.
-const SWEEP_COLUMNS: &[&str] = &[
-    "skew",
-    "scheduler",
-    "autoscale",
-    "offered_rps",
-    "completed",
-    "shed",
-    "quota_shed",
-    "goodput_rps",
-    "p99_ms",
-    "fairness",
-    "max_slowdown",
-    "scale_ups",
-    "final_active",
-    "schema_version",
-];
+/// The sweep's declaration: CSV/stdout columns (the harness appends
+/// `schema_version`) and the shared fleet flags it takes. Routing is
+/// fixed to JSQ.
+pub(crate) fn spec() -> SweepSpec {
+    use FleetFlag::*;
+    SweepSpec::new("tenant_sweep")
+        .usage(USAGE)
+        .columns(
+            "skew,scheduler,autoscale,offered_rps,completed,shed,quota_shed,\
+             goodput_rps,p99_ms,fairness,max_slowdown,scale_ups,final_active",
+        )
+        .fleet(
+            &[Seed, Batch, QueueDepth, Engine, Trace],
+            FleetFlags { batch: 2, queue_depth: 2, ..FleetFlags::default() },
+        )
+}
 
 /// Scale-out policies the `--autoscale` axis can enumerate.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -113,6 +113,20 @@ impl ScalePolicy {
     }
 }
 
+/// Parses a comma-separated list of `what` labels, naming the valid
+/// `options` in the error.
+fn parse_labels<T>(
+    list: &str,
+    what: &str,
+    options: &str,
+    parse: impl Fn(&str) -> Option<T>,
+) -> Result<Vec<T>, String> {
+    let label = |w: &str| {
+        parse(w.trim()).ok_or_else(|| format!("unknown {what} {:?} ({options})", w.trim()))
+    };
+    list.split(',').map(label).collect()
+}
+
 #[derive(Debug)]
 struct Args {
     tenants: u32,
@@ -122,18 +136,13 @@ struct Args {
     replicas: usize,
     load: f64,
     requests: usize,
-    seed: u64,
     quota: Option<QuotaPolicy>,
     deadline_factor: f64,
-    batch: usize,
-    queue_depth: usize,
-    engine: FleetEngine,
-    trace: Option<String>,
 }
 
-impl Args {
-    fn parse(it: &mut FlagParser) -> Result<Self, String> {
-        let mut args = Args {
+impl Default for Args {
+    fn default() -> Self {
+        Args {
             tenants: 16,
             skews: vec![0.0, 1.0],
             schedulers: vec![SchedulerPolicy::Fifo, SchedulerPolicy::Drr, SchedulerPolicy::Wfq],
@@ -141,117 +150,71 @@ impl Args {
             replicas: 2,
             load: 6.0,
             requests: 1200,
-            seed: 7,
             quota: None,
             deadline_factor: 40.0,
-            batch: 2,
-            queue_depth: 2,
-            engine: FleetEngine::StepGranular,
-            trace: None,
-        };
-        while let Some(flag) = it.next_flag() {
-            match flag.as_str() {
-                "--tenants" => {
-                    args.tenants = parse_num(&it.value("--tenants")?, "--tenants", "an integer")?;
-                }
-                "--skew" => {
-                    args.skews = parse_list(&it.value("--skew")?, "--skew", "numbers")?;
-                }
-                "--scheduler" => {
-                    args.schedulers = it
-                        .value("--scheduler")?
-                        .split(',')
-                        .map(|w| {
-                            SchedulerPolicy::parse(w.trim()).ok_or_else(|| {
-                                format!("unknown scheduler {:?} (fifo|drr|wfq)", w.trim())
-                            })
-                        })
-                        .collect::<Result<_, _>>()?;
-                }
-                "--autoscale" => {
-                    args.autoscale = it
-                        .value("--autoscale")?
-                        .split(',')
-                        .map(|w| {
-                            ScalePolicy::parse(w.trim()).ok_or_else(|| {
-                                format!("unknown autoscale policy {:?} (none|reactive)", w.trim())
-                            })
-                        })
-                        .collect::<Result<_, _>>()?;
-                }
-                "--replicas" => {
-                    args.replicas =
-                        parse_num(&it.value("--replicas")?, "--replicas", "an integer")?;
-                }
-                "--load" => {
-                    args.load = parse_num(&it.value("--load")?, "--load", "a number")?;
-                }
-                "--requests" => {
-                    args.requests =
-                        parse_num(&it.value("--requests")?, "--requests", "an integer")?;
-                }
-                "--seed" => {
-                    args.seed = parse_num(&it.value("--seed")?, "--seed", "an integer")?;
-                }
-                "--quota" => {
-                    let v = it.value("--quota")?;
-                    let (rate, burst) = v
-                        .split_once(':')
-                        .ok_or_else(|| format!("--quota wants <rps>:<burst>, got {v:?}"))?;
-                    let rate: f64 = parse_num(rate, "--quota", "a number for rps")?;
-                    let burst: f64 = parse_num(burst, "--quota", "a number for burst")?;
-                    if !(rate > 0.0 && rate.is_finite() && burst > 0.0 && burst.is_finite()) {
-                        return Err("--quota rps and burst must be positive and finite".into());
-                    }
-                    args.quota = Some(QuotaPolicy::new(rate, burst));
-                }
-                "--deadline-factor" => {
-                    args.deadline_factor = parse_num(
-                        &it.value("--deadline-factor")?,
-                        "--deadline-factor",
-                        "a number",
-                    )?;
-                }
-                "--batch" => {
-                    args.batch = parse_num(&it.value("--batch")?, "--batch", "an integer")?;
-                }
-                "--queue-depth" => {
-                    args.queue_depth =
-                        parse_num(&it.value("--queue-depth")?, "--queue-depth", "an integer")?;
-                }
-                "--engine" => {
-                    let v = it.value("--engine")?;
-                    args.engine = FleetEngine::parse(&v)
-                        .ok_or_else(|| format!("unknown engine {v:?} (step|event)"))?;
-                }
-                "--trace" => {
-                    args.trace = Some(it.value("--trace")?);
-                }
-                other => return Err(format!("unknown flag {other:?}")),
-            }
         }
-        if args.tenants == 0 {
+    }
+}
+
+impl SweepArgs for Args {
+    fn flag(&mut self, flag: &str, it: &mut FlagParser) -> Result<bool, String> {
+        match flag {
+            "--tenants" => self.tenants = it.num(flag, "an integer")?,
+            "--skew" => self.skews = it.list(flag, "numbers")?,
+            "--scheduler" => {
+                let v = it.value(flag)?;
+                self.schedulers =
+                    parse_labels(&v, "scheduler", "fifo|drr|wfq", SchedulerPolicy::parse)?;
+            }
+            "--autoscale" => {
+                let v = it.value(flag)?;
+                self.autoscale =
+                    parse_labels(&v, "autoscale policy", "none|reactive", ScalePolicy::parse)?;
+            }
+            "--replicas" => self.replicas = it.num(flag, "an integer")?,
+            "--load" => self.load = it.num(flag, "a number")?,
+            "--requests" => self.requests = it.num(flag, "an integer")?,
+            "--quota" => {
+                let v = it.value(flag)?;
+                let (rate, burst) = v
+                    .split_once(':')
+                    .ok_or_else(|| format!("--quota wants <rps>:<burst>, got {v:?}"))?;
+                let rate: f64 = cta_bench::parse_num(rate, flag, "a number for rps")?;
+                let burst: f64 = cta_bench::parse_num(burst, flag, "a number for burst")?;
+                if !(rate > 0.0 && rate.is_finite() && burst > 0.0 && burst.is_finite()) {
+                    return Err("--quota rps and burst must be positive and finite".into());
+                }
+                self.quota = Some(QuotaPolicy::new(rate, burst));
+            }
+            "--deadline-factor" => self.deadline_factor = it.num(flag, "a number")?,
+            _ => return Ok(false),
+        }
+        Ok(true)
+    }
+
+    fn validate(&self) -> Result<(), String> {
+        if self.tenants == 0 {
             return Err("--tenants must be positive".into());
         }
-        if args.skews.is_empty() || args.skews.iter().any(|s| !s.is_finite() || *s < 0.0) {
+        if self.skews.is_empty() || self.skews.iter().any(|s| !s.is_finite() || *s < 0.0) {
             return Err("--skew must be a non-empty list of non-negative numbers".into());
         }
-        if args.schedulers.is_empty() {
+        if self.schedulers.is_empty() {
             return Err("--scheduler must name at least one policy".into());
         }
-        if args.autoscale.is_empty() {
+        if self.autoscale.is_empty() {
             return Err("--autoscale must name at least one policy".into());
         }
-        if args.replicas == 0 || args.requests == 0 || args.batch == 0 || args.queue_depth == 0 {
-            return Err("--replicas, --requests, --batch and --queue-depth must be positive".into());
+        if self.replicas == 0 || self.requests == 0 {
+            return Err("--replicas and --requests must be positive".into());
         }
-        if !(args.load > 0.0 && args.load.is_finite()) {
+        if !(self.load > 0.0 && self.load.is_finite()) {
             return Err("--load must be positive and finite".into());
         }
-        if !(args.deadline_factor > 0.0 && args.deadline_factor.is_finite()) {
+        if !(self.deadline_factor > 0.0 && self.deadline_factor.is_finite()) {
             return Err("--deadline-factor must be positive and finite".into());
         }
-        Ok(args)
+        Ok(())
     }
 }
 
@@ -259,138 +222,131 @@ impl Args {
 /// and run the sweep; malformed flags print the usage text to stderr and
 /// exit non-zero.
 pub fn main(argv: impl Iterator<Item = String>) -> ExitCode {
-    SweepSpec::new("tenant_sweep").usage(USAGE).columns(SWEEP_COLUMNS).main(argv, Args::parse, run)
+    spec().main(argv, run)
 }
 
 /// One grid point: skew × scheduler × scale-out policy.
 type Point = (f64, SchedulerPolicy, ScalePolicy);
 
-/// The Poisson trace for one point, Zipf-stamped with tenant ids and
-/// deadlined at `deadline_factor` solo service times. Priority 100
-/// deliberately sits below the admission depth-exemption threshold —
+/// The Poisson trace for one point at `rate`, Zipf-stamped with tenant
+/// ids and deadlined at `deadline_factor` solo service times. Priority
+/// 100 deliberately sits below the admission depth-exemption threshold —
 /// every tenant faces the same queue-depth and deadline policy, so the
 /// scheduler alone decides who is served.
-fn point_requests(args: &Args, spec: &LoadSpec, skew: f64, solo: f64) -> Vec<ServeRequest> {
+fn point_requests(
+    args: &Args,
+    spec: &LoadSpec,
+    skew: f64,
+    (solo, rate): (f64, f64),
+    seed: u64,
+) -> Vec<ServeRequest> {
     const TENANT_SLO: &str = "tenant-slo";
     let class =
         QosClass { name: TENANT_SLO, priority: 100, deadline_s: Some(args.deadline_factor * solo) };
-    let rate = args.load * args.replicas as f64 / solo;
-    let mix = TenantMix::new(args.tenants, skew);
-    let owners = mix.assign(args.requests, args.seed);
-    let mut spec = *spec;
-    spec.class = class;
-    poisson_requests(&spec, args.requests, rate, args.seed)
+    let owners = TenantMix::new(args.tenants, skew).assign(args.requests, seed);
+    let spec = LoadSpec { class, ..*spec };
+    poisson_requests(&spec, args.requests, rate, seed)
         .into_iter()
         .zip(owners)
         .map(|(r, tenant)| r.with_tenant(tenant))
         .collect()
 }
 
-fn point_config(
-    args: &Args,
-    scheduler: SchedulerPolicy,
-    scale: ScalePolicy,
-    solo: f64,
-) -> FleetConfig {
-    let mut cfg = FleetConfig::sharded(SystemConfig::paper(), args.replicas);
-    cfg.engine = args.engine;
-    cfg.routing = RoutingPolicy::JoinShortestQueue;
-    cfg.batch = BatchPolicy::up_to(args.batch);
-    cfg.admission = AdmissionPolicy::bounded(args.queue_depth);
-    let mut tenancy = TenancyConfig::equal_weight(args.tenants, scheduler);
-    tenancy.backpressure = Backpressure::Hold;
-    tenancy.quota = args.quota;
-    if scale == ScalePolicy::Reactive {
-        let min = (args.replicas / 2).max(1);
-        tenancy.autoscale = Some(AutoscalePolicy::reactive(min, args.replicas, 8.0 * solo));
-    }
-    cfg.tenancy = Some(tenancy);
-    cfg
-}
+fn run(h: &Harness<Args>) -> Result<(), String> {
+    let (args, fleet) = (h.args(), h.fleet());
+    let w = mini_workload(SystemConfig::paper());
+    let rate = offered_rate(args.load, args.replicas, w.solo_s)?;
 
-fn run(h: &Harness<Args>) {
-    let args = h.args();
-    let case = mini_case();
-    let spec = LoadSpec::standard(case_task(&case), case.model.layers, case.model.heads);
+    let grid: Vec<Point> = (args.skews.iter())
+        .flat_map(|&skew| args.schedulers.iter().map(move |&scheduler| (skew, scheduler)))
+        .flat_map(|(skew, sched)| args.autoscale.iter().map(move |&scale| (skew, sched, scale)))
+        .collect();
 
-    let system = CtaSystem::new(SystemConfig::paper());
-    let mut cost = CostModel::new();
-    let probe = poisson_requests(&spec, 1, 1.0, args.seed);
-    let solo = cost.request_service_s(&system, &probe[0]);
-
-    let mut grid: Vec<Point> = Vec::new();
-    for &skew in &args.skews {
-        for &scheduler in &args.schedulers {
-            for &scale in &args.autoscale {
-                grid.push((skew, scheduler, scale));
-            }
+    let point: &PointFn<Point> = &|&(skew, scheduler, scale)| {
+        let requests = point_requests(args, &w.spec, skew, (w.solo_s, rate), fleet.seed);
+        let mut config = fleet.config(SystemConfig::paper(), args.replicas);
+        let mut tenancy = TenancyConfig::equal_weight(args.tenants, scheduler);
+        tenancy.backpressure = Backpressure::Hold;
+        tenancy.quota = args.quota;
+        if scale == ScalePolicy::Reactive {
+            let min = (args.replicas / 2).max(1);
+            tenancy.autoscale = Some(AutoscalePolicy::reactive(min, args.replicas, 8.0 * w.solo_s));
         }
-    }
+        config.tenancy = Some(tenancy);
+        Ok(FleetPoint { config, requests })
+    };
+    let extract: &ExtractFn<Point> = &|&(skew, scheduler, scale), _, report, out| {
+        let m = &report.metrics;
+        assert_eq!(m.completed + m.shed, args.requests, "accounting identity");
+        let t = m.tenancy.as_ref().expect("tenancy stats reported");
+        let p99 = m.latency.as_ref().map_or(f64::NAN, |l| l.p99_s);
+        out.row(vec![
+            format!("{skew:.2}"),
+            scheduler.label().to_string(),
+            scale.label().to_string(),
+            format!("{rate:.1}"),
+            m.completed.to_string(),
+            m.shed.to_string(),
+            t.quota_shed.to_string(),
+            format!("{:.1}", m.goodput_rps),
+            format!("{:.3}", p99 * 1e3),
+            format!("{:.3}", t.fairness_index),
+            format!("{:.2}", t.max_slowdown),
+            t.scale_ups.to_string(),
+            t.final_active.to_string(),
+        ]);
+        out.point(JsonValue::obj(vec![
+            ("skew", JsonValue::Num(skew)),
+            ("scheduler", JsonValue::Str(scheduler.label().into())),
+            ("autoscale", JsonValue::Str(scale.label().into())),
+            ("offered_rps", JsonValue::Num(rate)),
+            ("completed", JsonValue::Int(m.completed as i64)),
+            ("shed", JsonValue::Int(m.shed as i64)),
+            ("quota_shed", JsonValue::Int(t.quota_shed as i64)),
+            ("goodput_rps", JsonValue::Num(m.goodput_rps)),
+            ("p99_s", JsonValue::Num(p99)),
+            ("fairness_index", JsonValue::Num(t.fairness_index)),
+            ("max_slowdown", JsonValue::Num(t.max_slowdown)),
+            ("scale_ups", JsonValue::Int(t.scale_ups as i64)),
+            ("scale_downs", JsonValue::Int(t.scale_downs as i64)),
+            ("final_active", JsonValue::Int(t.final_active as i64)),
+            ("events", JsonValue::Int(report.events_processed as i64)),
+        ]));
+    };
 
-    h.run_grid(
+    h.run_fleet(
         &format!(
             "Tenant sweep — {} tenants, {} replicas @ load {:.2}, engine {}, \
              solo service {:.3} ms",
             args.tenants,
             args.replicas,
             args.load,
-            args.engine.label(),
-            solo * 1e3
+            fleet.engine.label(),
+            w.solo_s * 1e3
         ),
         &grid,
-        |&(skew, scheduler, scale)| {
-            let mut out = PointOutput::new();
-            let requests = point_requests(args, &spec, skew, solo);
-            let cfg = point_config(args, scheduler, scale, solo);
-            let rate = args.load * args.replicas as f64 / solo;
-            let report = simulate_fleet(&cfg, &requests);
-            let m = &report.metrics;
-            assert_eq!(m.completed + m.shed, args.requests, "accounting identity");
-            let t = m.tenancy.as_ref().expect("tenancy stats reported");
-            let p99 = m.latency.as_ref().map_or(f64::NAN, |l| l.p99_s);
-            out.row(vec![
-                format!("{skew:.2}"),
-                scheduler.label().to_string(),
-                scale.label().to_string(),
-                format!("{rate:.1}"),
-                m.completed.to_string(),
-                m.shed.to_string(),
-                t.quota_shed.to_string(),
-                format!("{:.1}", m.goodput_rps),
-                format!("{:.3}", p99 * 1e3),
-                format!("{:.3}", t.fairness_index),
-                format!("{:.2}", t.max_slowdown),
-                t.scale_ups.to_string(),
-                t.final_active.to_string(),
-                SCHEMA_VERSION.to_string(),
-            ]);
-            out.point(JsonValue::obj(vec![
-                ("skew", JsonValue::Num(skew)),
-                ("scheduler", JsonValue::Str(scheduler.label().into())),
-                ("autoscale", JsonValue::Str(scale.label().into())),
-                ("offered_rps", JsonValue::Num(rate)),
-                ("completed", JsonValue::Int(m.completed as i64)),
-                ("shed", JsonValue::Int(m.shed as i64)),
-                ("quota_shed", JsonValue::Int(t.quota_shed as i64)),
-                ("goodput_rps", JsonValue::Num(m.goodput_rps)),
-                ("p99_s", JsonValue::Num(p99)),
-                ("fairness_index", JsonValue::Num(t.fairness_index)),
-                ("max_slowdown", JsonValue::Num(t.max_slowdown)),
-                ("scale_ups", JsonValue::Int(t.scale_ups as i64)),
-                ("scale_downs", JsonValue::Int(t.scale_downs as i64)),
-                ("final_active", JsonValue::Int(t.final_active as i64)),
-                ("events", JsonValue::Int(report.events_processed as i64)),
-            ]));
-            out
+        FleetSweep {
+            point,
+            extract,
+            // Held arrivals show up as per-tenant backlog counters on the
+            // tenancy lane.
+            trace_banner: &|&(skew, scheduler, scale), path| {
+                format!(
+                    "Trace — skew {skew:.2}, {} scheduler, autoscale {} → {path}",
+                    scheduler.label(),
+                    scale.label()
+                )
+            },
+            trace: None,
         },
         |json| {
             json.set("experiment", JsonValue::Str("tenant_sweep".into()))
-                .set("case", JsonValue::Str(case.name()))
-                .set("engine", JsonValue::Str(args.engine.label().into()))
+                .set("case", JsonValue::Str(w.case.name()))
+                .set("engine", JsonValue::Str(fleet.engine.label().into()))
                 .set("tenants", JsonValue::Int(args.tenants as i64))
                 .set("replicas", JsonValue::Int(args.replicas as i64))
                 .set("load", JsonValue::Num(args.load))
-                .set("solo_service_s", JsonValue::Num(solo))
+                .set("solo_service_s", JsonValue::Num(w.solo_s))
                 .set("requests", JsonValue::Int(args.requests as i64))
                 .set("deadline_factor", JsonValue::Num(args.deadline_factor))
                 .set("backpressure", JsonValue::Str(Backpressure::Hold.label().into()))
@@ -404,91 +360,64 @@ fn run(h: &Harness<Args>) {
                         None => JsonValue::Null,
                     },
                 )
-                .set("routing", JsonValue::Str(RoutingPolicy::JoinShortestQueue.label().into()))
-                .set("batch", JsonValue::Int(args.batch as i64))
-                .set("queue_depth", JsonValue::Int(args.queue_depth as i64))
-                .set("seed", JsonValue::Int(args.seed as i64));
+                .set("routing", JsonValue::Str(fleet.routing.label().into()))
+                .set("batch", JsonValue::Int(fleet.batch as i64))
+                .set("queue_depth", JsonValue::Int(fleet.queue_depth as i64))
+                .set("seed", JsonValue::Int(fleet.seed as i64));
         },
-    );
-
-    // Telemetry pass: re-run the final point traced. Held arrivals show
-    // up as per-tenant backlog counters on the tenancy lane.
-    if let Some(path) = &args.trace {
-        let &(skew, scheduler, scale) = grid.last().expect("non-empty sweep");
-        let requests = point_requests(args, &spec, skew, solo);
-        let cfg = point_config(args, scheduler, scale, solo);
-        export_trace(
-            path,
-            &format!(
-                "Trace — skew {skew:.2}, {} scheduler, autoscale {} → {path}",
-                scheduler.label(),
-                scale.label()
-            ),
-            |sink| {
-                let _ = simulate_fleet_traced(&cfg, &requests, sink);
-            },
-        );
-    }
+    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn parse(words: &[&str]) -> Result<Args, String> {
-        Args::parse(&mut FlagParser::new(words.iter().map(|s| s.to_string())))
+    fn parse(words: &str) -> Result<Harness<Args>, String> {
+        spec().parse(words.split_whitespace().map(String::from))
     }
 
     #[test]
     fn args_parse_accepts_defaults_and_rejects_malformed_flags() {
-        let ok = parse(&[]).expect("defaults valid");
-        assert_eq!(ok.tenants, 16);
-        assert_eq!(ok.skews, vec![0.0, 1.0]);
+        let ok = parse("").expect("defaults valid");
+        let d = ok.args();
+        assert_eq!(d.tenants, 16);
+        assert_eq!(d.skews, vec![0.0, 1.0]);
         assert_eq!(
-            ok.schedulers,
+            d.schedulers,
             vec![SchedulerPolicy::Fifo, SchedulerPolicy::Drr, SchedulerPolicy::Wfq]
         );
-        assert_eq!(ok.autoscale, vec![ScalePolicy::None]);
-        assert!(ok.quota.is_none());
-        let full = parse(&[
-            "--tenants",
-            "8",
-            "--skew",
-            "0,0.5,1.5",
-            "--scheduler",
-            "drr,wfq",
-            "--autoscale",
-            "none,reactive",
-            "--quota",
-            "100:4",
-        ])
+        assert_eq!(d.autoscale, vec![ScalePolicy::None]);
+        assert!(d.quota.is_none());
+        assert_eq!((ok.fleet().batch, ok.fleet().queue_depth), (2, 2));
+        let full = parse("--tenants 8 --skew 0,0.5,1.5 --scheduler drr,wfq --autoscale none,reactive --quota 100:4")
         .expect("valid");
-        assert_eq!(full.tenants, 8);
-        assert_eq!(full.autoscale, vec![ScalePolicy::None, ScalePolicy::Reactive]);
-        assert_eq!(full.quota, Some(QuotaPolicy::new(100.0, 4.0)));
+        assert_eq!(full.args().tenants, 8);
+        assert_eq!(full.args().autoscale, vec![ScalePolicy::None, ScalePolicy::Reactive]);
+        assert_eq!(full.args().quota, Some(QuotaPolicy::new(100.0, 4.0)));
 
-        assert!(parse(&["--bogus"]).unwrap_err().contains("unknown flag"));
-        assert!(parse(&["--tenants", "0"]).unwrap_err().contains("positive"));
-        assert!(parse(&["--tenants", "many"]).unwrap_err().contains("--tenants"));
-        assert!(parse(&["--skew", "-1"]).unwrap_err().contains("non-negative"));
-        assert!(parse(&["--skew", "0,oops"]).unwrap_err().contains("--skew"));
-        assert!(parse(&["--scheduler", "chaos"]).unwrap_err().contains("unknown scheduler"));
-        assert!(parse(&["--autoscale", "wild"]).unwrap_err().contains("unknown autoscale"));
-        assert!(parse(&["--quota", "100"]).unwrap_err().contains("<rps>:<burst>"));
-        assert!(parse(&["--quota", "0:4"]).unwrap_err().contains("positive"));
-        assert!(parse(&["--load", "-2"]).unwrap_err().contains("positive"));
-        assert!(parse(&["--deadline-factor", "0"]).unwrap_err().contains("positive"));
-        assert!(parse(&["--engine", "warp"]).unwrap_err().contains("unknown engine"));
+        assert!(parse("--bogus").unwrap_err().contains("unknown flag"));
+        assert!(parse("--routing rr").unwrap_err().contains("unknown flag"));
+        assert!(parse("--tenants 0").unwrap_err().contains("positive"));
+        assert!(parse("--tenants many").unwrap_err().contains("--tenants"));
+        assert!(parse("--skew -1").unwrap_err().contains("non-negative"));
+        assert!(parse("--skew 0,oops").unwrap_err().contains("--skew"));
+        assert!(parse("--scheduler chaos").unwrap_err().contains("unknown scheduler"));
+        assert!(parse("--autoscale wild").unwrap_err().contains("unknown autoscale"));
+        assert!(parse("--quota 100").unwrap_err().contains("<rps>:<burst>"));
+        assert!(parse("--quota 0:4").unwrap_err().contains("positive"));
+        assert!(parse("--load -2").unwrap_err().contains("positive"));
+        assert!(parse("--deadline-factor 0").unwrap_err().contains("positive"));
+        assert!(parse("--engine warp").unwrap_err().contains("unknown engine"));
     }
 
     #[test]
     fn point_requests_are_zipf_stamped_and_deadlined() {
-        let args = parse(&["--tenants", "4", "--skew", "1", "--requests", "200"]).expect("valid");
-        let case = mini_case();
-        let spec = LoadSpec::standard(case_task(&case), case.model.layers, case.model.heads);
+        let h = parse("--tenants 4 --skew 1 --requests 200").expect("valid");
+        let args = h.args();
+        let spec = mini_workload(SystemConfig::paper()).spec;
         let solo = 0.01;
-        let a = point_requests(&args, &spec, 1.0, solo);
-        assert_eq!(a, point_requests(&args, &spec, 1.0, solo), "seeded");
+        let a = point_requests(args, &spec, 1.0, (solo, 1_200.0), 7);
+        assert_eq!(a, point_requests(args, &spec, 1.0, (solo, 1_200.0), 7), "seeded");
         assert_eq!(a.len(), 200);
         assert!(a.iter().all(|r| r.tenant < 4));
         assert!(a.iter().all(|r| r.class.deadline_s == Some(args.deadline_factor * solo)));
@@ -500,15 +429,5 @@ mod tests {
         let hot = a.iter().filter(|r| r.tenant == 0).count();
         let cold = a.iter().filter(|r| r.tenant == 3).count();
         assert!(hot > 2 * cold, "skew shows in the stamp ({hot} vs {cold})");
-    }
-
-    #[test]
-    fn csv_header_carries_schema_version() {
-        assert_eq!(SWEEP_COLUMNS.last(), Some(&"schema_version"));
-        let t = cta_bench::CsvTable::new("tenant_sweep", SWEEP_COLUMNS);
-        assert!(t.to_csv().starts_with(
-            "skew,scheduler,autoscale,offered_rps,completed,shed,quota_shed,\
-             goodput_rps,p99_ms,fairness,max_slowdown,scale_ups,final_active,schema_version\n"
-        ));
     }
 }

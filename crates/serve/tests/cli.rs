@@ -1,7 +1,8 @@
 //! CLI robustness tests: malformed `serve_sweep` / `degradation_sweep` /
-//! `brownout_sweep` / `tenant_sweep` invocations must print an error
-//! plus the usage text to stderr and exit non-zero — never panic (no
-//! `RUST_BACKTRACE` hint, no `panicked at`).
+//! `brownout_sweep` / `tenant_sweep` / `planet_sweep` invocations must
+//! print an error plus the usage text to stderr and exit non-zero —
+//! never panic (no `RUST_BACKTRACE` hint, no `panicked at`), hang, or
+//! exhaust memory.
 
 use std::process::{Command, Output};
 
@@ -9,7 +10,7 @@ fn run(bin: &str, args: &[&str]) -> Output {
     Command::new(bin).args(args).output().unwrap_or_else(|e| panic!("spawn {bin}: {e}"))
 }
 
-fn assert_graceful_failure(bin: &str, args: &[&str], expect: &str) {
+fn assert_graceful_failure(bin: &str, args: &[&str], expect: &str) -> Output {
     let out = run(bin, args);
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(!out.status.success(), "{args:?} must exit non-zero, got {:?}", out.status);
@@ -17,12 +18,14 @@ fn assert_graceful_failure(bin: &str, args: &[&str], expect: &str) {
     assert!(stderr.contains(expect), "{args:?} stderr missing {expect:?}: {stderr}");
     assert!(stderr.contains("usage:"), "{args:?} stderr missing usage text: {stderr}");
     assert!(!stderr.contains("panicked at"), "{args:?} must not panic: {stderr}");
+    out
 }
 
 const SERVE_SWEEP: &str = env!("CARGO_BIN_EXE_serve_sweep");
 const DEGRADATION_SWEEP: &str = env!("CARGO_BIN_EXE_degradation_sweep");
 const BROWNOUT_SWEEP: &str = env!("CARGO_BIN_EXE_brownout_sweep");
 const TENANT_SWEEP: &str = env!("CARGO_BIN_EXE_tenant_sweep");
+const PLANET_SWEEP: &str = env!("CARGO_BIN_EXE_planet_sweep");
 
 #[test]
 fn serve_sweep_rejects_unknown_flags() {
@@ -114,4 +117,36 @@ fn tenant_sweep_rejects_malformed_invocations() {
     assert_graceful_failure(TENANT_SWEEP, &["--deadline-factor", "0"], "positive");
     assert_graceful_failure(TENANT_SWEEP, &["--engine", "warp"], "unknown engine");
     assert_graceful_failure(TENANT_SWEEP, &["--load", "-2"], "positive");
+}
+
+#[test]
+fn infinite_offered_rates_exit_1_instead_of_hanging() {
+    // `load × replicas / solo service` overflowed to infinity, and the
+    // diurnal thinning loop then never advanced its clock.
+    let cases: [(&str, &[&str]); 2] = [
+        (PLANET_SWEEP, &["--load", "1e308", "--replicas", "4"]),
+        (SERVE_SWEEP, &["--arrivals", "diurnal", "--loads", "1e308"]),
+    ];
+    for (bin, args) in cases {
+        let out = assert_graceful_failure(bin, args, "offered rate");
+        assert_eq!(out.status.code(), Some(1), "{args:?}");
+    }
+}
+
+#[test]
+fn unbounded_fault_plans_exit_1_instead_of_filling_memory() {
+    // A tiny MTBF and MTTR used to draw crash windows until the process
+    // was killed for memory.
+    let cases: [(&str, &[&str]); 3] = [
+        (
+            SERVE_SWEEP,
+            &["--faults", "1e-300:1e-300", "--replicas", "1", "--loads", "0.5", "--requests", "20"],
+        ),
+        (DEGRADATION_SWEEP, &["--mtbf-factors", "1e-300", "--mttr-factor", "1e-300"]),
+        (PLANET_SWEEP, &["--replicas", "4", "--mtbf-factor", "1e-300", "--mttr-factor", "1e-300"]),
+    ];
+    for (bin, args) in cases {
+        let out = assert_graceful_failure(bin, args, "fault plan: seeded crash schedule exceeds");
+        assert_eq!(out.status.code(), Some(1), "{args:?}");
+    }
 }

@@ -9,8 +9,10 @@
 //! default for `serve_sweep` / `degradation_sweep`, and the `off` half of
 //! every `brownout_sweep` pair) the fleet must reproduce the pre-change
 //! output bitwise — traced and untraced. Chrome traces are large, so they
-//! are pinned by SHA-256 (implemented inline below; the workspace takes
-//! no crypto dependency) against `tests/golden/traced.sha256`.
+//! are pinned by SHA-256 (`tests/support/sha256.rs`; the workspace takes
+//! no crypto dependency) against `tests/golden/traced.sha256`, as are
+//! the whole outputs of the sweeps without golden files (planet,
+//! tenant, decode).
 //!
 //! If one of these tests fails after an intentional behaviour change,
 //! regenerate the goldens with the invocations named in each test and
@@ -28,66 +30,10 @@ use cta_serve::{
 use cta_sim::{AttentionTask, CtaSystem, SystemConfig};
 use cta_telemetry::{chrome_trace_json, RingBufferSink};
 
-// ---------------------------------------------------------------------------
-// Minimal SHA-256 (FIPS 180-4), enough to check the pinned trace digests.
-// ---------------------------------------------------------------------------
+#[path = "support/sha256.rs"]
+mod sha256;
 
-const K: [u32; 64] = [
-    0x428a2f98, 0x71374491, 0xb5c0fbcf, 0xe9b5dba5, 0x3956c25b, 0x59f111f1, 0x923f82a4, 0xab1c5ed5,
-    0xd807aa98, 0x12835b01, 0x243185be, 0x550c7dc3, 0x72be5d74, 0x80deb1fe, 0x9bdc06a7, 0xc19bf174,
-    0xe49b69c1, 0xefbe4786, 0x0fc19dc6, 0x240ca1cc, 0x2de92c6f, 0x4a7484aa, 0x5cb0a9dc, 0x76f988da,
-    0x983e5152, 0xa831c66d, 0xb00327c8, 0xbf597fc7, 0xc6e00bf3, 0xd5a79147, 0x06ca6351, 0x14292967,
-    0x27b70a85, 0x2e1b2138, 0x4d2c6dfc, 0x53380d13, 0x650a7354, 0x766a0abb, 0x81c2c92e, 0x92722c85,
-    0xa2bfe8a1, 0xa81a664b, 0xc24b8b70, 0xc76c51a3, 0xd192e819, 0xd6990624, 0xf40e3585, 0x106aa070,
-    0x19a4c116, 0x1e376c08, 0x2748774c, 0x34b0bcb5, 0x391c0cb3, 0x4ed8aa4a, 0x5b9cca4f, 0x682e6ff3,
-    0x748f82ee, 0x78a5636f, 0x84c87814, 0x8cc70208, 0x90befffa, 0xa4506ceb, 0xbef9a3f7, 0xc67178f2,
-];
-
-fn sha256_hex(data: &[u8]) -> String {
-    let mut h: [u32; 8] = [
-        0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a, 0x510e527f, 0x9b05688c, 0x1f83d9ab,
-        0x5be0cd19,
-    ];
-    let mut msg = data.to_vec();
-    let bit_len = (data.len() as u64).wrapping_mul(8);
-    msg.push(0x80);
-    while msg.len() % 64 != 56 {
-        msg.push(0);
-    }
-    msg.extend_from_slice(&bit_len.to_be_bytes());
-    for block in msg.chunks_exact(64) {
-        let mut w = [0u32; 64];
-        for (i, word) in block.chunks_exact(4).enumerate() {
-            w[i] = u32::from_be_bytes([word[0], word[1], word[2], word[3]]);
-        }
-        for i in 16..64 {
-            let s0 = w[i - 15].rotate_right(7) ^ w[i - 15].rotate_right(18) ^ (w[i - 15] >> 3);
-            let s1 = w[i - 2].rotate_right(17) ^ w[i - 2].rotate_right(19) ^ (w[i - 2] >> 10);
-            w[i] = w[i - 16].wrapping_add(s0).wrapping_add(w[i - 7]).wrapping_add(s1);
-        }
-        let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut hh] = h;
-        for i in 0..64 {
-            let s1 = e.rotate_right(6) ^ e.rotate_right(11) ^ e.rotate_right(25);
-            let ch = (e & f) ^ (!e & g);
-            let t1 = hh.wrapping_add(s1).wrapping_add(ch).wrapping_add(K[i]).wrapping_add(w[i]);
-            let s0 = a.rotate_right(2) ^ a.rotate_right(13) ^ a.rotate_right(22);
-            let maj = (a & b) ^ (a & c) ^ (b & c);
-            let t2 = s0.wrapping_add(maj);
-            hh = g;
-            g = f;
-            f = e;
-            e = d.wrapping_add(t1);
-            d = c;
-            c = b;
-            b = a;
-            a = t1.wrapping_add(t2);
-        }
-        for (slot, v) in h.iter_mut().zip([a, b, c, d, e, f, g, hh]) {
-            *slot = slot.wrapping_add(v);
-        }
-    }
-    h.iter().map(|v| format!("{v:08x}")).collect()
-}
+use sha256::sha256_hex;
 
 // ---------------------------------------------------------------------------
 // Harness
@@ -144,12 +90,20 @@ fn assert_bytes_match_golden(dir: &Path, rel: &str, golden_name: &str) {
 }
 
 fn assert_trace_matches_pin(dir: &Path, trace_name: &str) {
-    let bytes = std::fs::read(dir.join(trace_name)).unwrap_or_else(|e| panic!("{trace_name}: {e}"));
-    assert_eq!(
-        sha256_hex(&bytes),
-        pinned_digest(trace_name),
-        "{trace_name} drifted from its pinned digest — traced runs must stay bitwise stable"
-    );
+    assert_files_match_pins(dir, "", &[trace_name]);
+}
+
+/// Checks each of `files` (relative to `dir`) against the digest pinned
+/// under `{prefix}{file}`.
+fn assert_files_match_pins(dir: &Path, prefix: &str, files: &[&str]) {
+    for file in files {
+        let bytes = std::fs::read(dir.join(file)).unwrap_or_else(|e| panic!("{file}: {e}"));
+        assert_eq!(
+            sha256_hex(&bytes),
+            pinned_digest(&format!("{prefix}{file}")),
+            "{prefix}{file} drifted from its pinned digest — sweep output must stay bitwise stable"
+        );
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -254,6 +208,90 @@ fn brownout_sweep_output_is_bitwise_pinned() {
     assert_bytes_match_golden(&dir, "results/brownout_sweep.csv", "brownout_sweep.csv");
     assert_bytes_match_golden(&dir, "results/brownout_sweep.json", "brownout_sweep.json");
     assert_trace_matches_pin(&dir, "brownout_trace.json");
+}
+
+/// `planet_sweep` at a small width: diurnal arrivals, seeded faults
+/// (the default MTBF factor 1), the event engine and the queue-depth
+/// counter lane in the trace.
+#[test]
+fn planet_sweep_output_is_sha_pinned() {
+    let dir = run_in_scratch(
+        "planet",
+        env!("CARGO_BIN_EXE_planet_sweep"),
+        &[
+            "--replicas",
+            "8,32",
+            "--requests-per-replica",
+            "4",
+            "--seed",
+            "7",
+            "--trace",
+            "planet_trace.json",
+        ],
+    );
+    assert_files_match_pins(
+        &dir,
+        "",
+        &["results/planet_sweep.csv", "results/planet_sweep.json", "planet_trace.json"],
+    );
+}
+
+/// `tenant_sweep` across skew × scheduler × autoscale with a quota.
+#[test]
+fn tenant_sweep_output_is_sha_pinned() {
+    let dir = run_in_scratch(
+        "tenant",
+        env!("CARGO_BIN_EXE_tenant_sweep"),
+        &[
+            "--tenants",
+            "4",
+            "--skew",
+            "0,1",
+            "--scheduler",
+            "fifo,drr",
+            "--autoscale",
+            "none,reactive",
+            "--requests",
+            "200",
+            "--quota",
+            "3000:4",
+            "--trace",
+            "tenant_trace.json",
+        ],
+    );
+    assert_files_match_pins(
+        &dir,
+        "",
+        &["results/tenant_sweep.csv", "results/tenant_sweep.json", "tenant_trace.json"],
+    );
+}
+
+/// `decode_sweep` under sticky sessions with crashes, and the stateless
+/// ablation (pinned under a `stateless/` prefix).
+#[test]
+fn decode_sweep_output_is_sha_pinned() {
+    let files = ["results/decode_sweep.csv", "results/decode_sweep.json", "decode_trace.json"];
+    let dir = run_in_scratch(
+        "decode-sticky",
+        env!("CARGO_BIN_EXE_decode_sweep"),
+        &[
+            "--sessions",
+            "6,12",
+            "--thresholds",
+            "0.25,1.0",
+            "--mtbf-factor",
+            "0.5",
+            "--trace",
+            "decode_trace.json",
+        ],
+    );
+    assert_files_match_pins(&dir, "", &files);
+    let dir = run_in_scratch(
+        "decode-stateless",
+        env!("CARGO_BIN_EXE_decode_sweep"),
+        &["--sessions", "6,12", "--policy", "stateless", "--trace", "decode_trace.json"],
+    );
+    assert_files_match_pins(&dir, "stateless/", &files);
 }
 
 // ---------------------------------------------------------------------------

@@ -68,12 +68,17 @@ impl DiurnalSpec {
     ///
     /// # Panics
     ///
-    /// Panics if `base_rate_rps <= 0`, `period_s <= 0`, `day_frac` is
-    /// outside `(0, 1)`, or `night_scale` is outside `(0, 1]`.
+    /// Panics if `base_rate_rps` is not positive and finite (thinning at
+    /// an infinite rate never advances the clock), `period_s <= 0`,
+    /// `day_frac` is outside `(0, 1)`, or `night_scale` is outside
+    /// `(0, 1]`.
     ///
     /// [`with_flash`]: DiurnalSpec::with_flash
     pub fn new(base_rate_rps: f64, period_s: f64, day_frac: f64, night_scale: f64) -> Self {
-        assert!(base_rate_rps > 0.0, "base rate must be positive");
+        assert!(
+            base_rate_rps > 0.0 && base_rate_rps.is_finite(),
+            "base rate must be positive and finite"
+        );
         assert!(period_s > 0.0, "period must be positive");
         assert!(day_frac > 0.0 && day_frac < 1.0, "day fraction must be in (0, 1)");
         assert!(night_scale > 0.0 && night_scale <= 1.0, "night scale must be in (0, 1]");
@@ -201,6 +206,12 @@ mod tests {
             let t = i as f64 * 0.02;
             assert!(s.rate_at(t) <= peak, "rate at {t} exceeds envelope");
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "base rate must be positive and finite")]
+    fn infinite_base_rate_rejected() {
+        let _ = DiurnalSpec::new(f64::INFINITY, 10.0, 0.5, 0.5);
     }
 
     #[test]
