@@ -6,22 +6,39 @@
 //! the reference the differential tests compare against. The SIMD path
 //! is **bitwise identical** to the scalar one — the same contract
 //! `par_matmul` established for worker counts, extended to lane widths
-//! and cache blocking:
+//! and register tiling.
 //!
-//! * each output element accumulates its terms in exactly the scalar
-//!   order (ascending `k`), so no reduction is ever split across lanes;
-//! * vectorization happens across *independent output elements* (the
-//!   `j` axis), where f32 multiply/add per lane is IEEE-identical to the
+//! Both products run one register-tiled microkernel. A tile holds
+//! [`TILE_ROWS`] × [`TILE_COLS`] output elements (4 rows × two 8-lane
+//! vectors) in accumulators for the whole of `k`, loads each `B` row
+//! slice once per tile, and broadcasts one `A` element per row:
+//!
+//! * each output element starts at `+0.0` and adds its terms in exactly
+//!   the scalar order (ascending `k`), so no reduction is ever split
+//!   across lanes; the lanes are *independent output elements* (the `j`
+//!   axis), where f32 multiply/add per lane is IEEE-identical to the
 //!   scalar instruction;
-//! * the zero-skip in `matmul` (`a[i][k] == 0.0` skips the whole `k`
-//!   term) is replicated exactly, because `0.0 * NaN` would otherwise
-//!   change bits;
 //! * no FMA is ever emitted from these kernels (`mul` then `add` only):
 //!   a fused multiply-add rounds once where the scalar kernel rounds
-//!   twice, which would break the pin.
+//!   twice, which would break the pin;
+//! * `matmul` keeps the scalar per-row zero-skip (`a[i][k] == 0.0`
+//!   skips that row's whole `k` term), because `0.0 * inf` is NaN and
+//!   would otherwise change bits;
+//! * `matmul_transpose_b` transposes `B` once per call (to `d × rows`)
+//!   and runs the same tile *without* the skip: each element then adds
+//!   `a[i][p]·b[j][p]` in ascending `p` from `+0.0`, which is the scalar
+//!   dot product exactly, inf and NaN included;
+//! * a product narrower than one tile (fewer than [`TILE_COLS`] output
+//!   columns, e.g. the LSH hash projections) or shorter than one (fewer
+//!   than [`TILE_ROWS`] rows, e.g. a single query row) keeps the
+//!   transpose-free dot path instead: four output columns in flight,
+//!   each a sequential dot.
 //!
-//! Cache blocking reorders *which* element is worked on when, never the
-//! term order *within* an element, so it is bit-exact for free.
+//! Row and column tails run the same tile: missing rows repeat a real
+//! row and are never stored, missing columns are masked off on load and
+//! store. The tile has an AVX2 body (detected once per panel) and a
+//! portable lane-array twin with the same per-lane operations, which
+//! other targets run.
 
 use crate::Matrix;
 
@@ -31,9 +48,9 @@ use crate::Matrix;
 pub enum KernelPolicy {
     /// The reference loops: naive order, no blocking, no lanes.
     Scalar,
-    /// Cache blocking plus lane-parallel arithmetic across independent
-    /// output elements (8-wide f32 / 4-wide i64 chunks the
-    /// autovectorizer lowers to vector instructions).
+    /// The fast kernels: the f32 products' register tile (4 rows × 16
+    /// columns), the quantized kernels' 4-wide i64 lanes and the
+    /// hoisted PAG gather.
     Simd,
 }
 
@@ -62,77 +79,19 @@ impl std::fmt::Display for KernelPolicy {
     }
 }
 
-/// f32 lanes per chunk in the SIMD variants (AVX2-width; the tail is
-/// handled element-wise in the same order).
+/// Output rows held in one register tile.
+const TILE_ROWS: usize = 4;
+
+/// f32 lanes per vector (AVX2 width).
 const LANES: usize = 8;
 
-/// Columns of packed `B` kept hot in an L1/L2-resident panel.
-const NC: usize = 256;
+/// Output columns held in one register tile: two vectors per row.
+const TILE_COLS: usize = 2 * LANES;
 
-/// Depth (`k`) slab per blocking pass.
-const KC: usize = 64;
-
-/// `out[j] += a * b[j]` over a row, in ascending-`j` order. Dispatches
-/// to AVX2 intrinsics when the CPU has them (detected once, cached by
-/// `std`), otherwise to a portable lane-array loop the autovectorizer
-/// lowers to whatever vector width the target offers. Both do one mul +
-/// one add per element — IEEE-identical per lane to the scalar loop.
-#[inline]
-fn axpy_lanes(out: &mut [f32], b: &[f32], a: f32) {
-    #[cfg(target_arch = "x86_64")]
-    if is_x86_feature_detected!("avx2") {
-        // SAFETY: AVX2 support was just verified at runtime.
-        unsafe { axpy_avx2(out, b, a) };
-        return;
-    }
-    axpy_portable(out, b, a);
-}
-
-/// The portable fallback for [`axpy_lanes`]: eight independent elements
-/// in flight per chunk, tail handled element-wise in the same order.
-#[cfg_attr(target_arch = "x86_64", allow(dead_code))]
-#[inline]
-fn axpy_portable(out: &mut [f32], b: &[f32], a: f32) {
-    let mut oc = out.chunks_exact_mut(LANES);
-    let mut bc = b.chunks_exact(LANES);
-    for (o8, b8) in (&mut oc).zip(&mut bc) {
-        for l in 0..LANES {
-            o8[l] += a * b8[l];
-        }
-    }
-    for (o, &x) in oc.into_remainder().iter_mut().zip(bc.remainder()) {
-        *o += a * x;
-    }
-}
-
-/// [`axpy_lanes`] on AVX2: `vmulps` + `vaddps` (never FMA — a fused
-/// multiply-add rounds once where the scalar kernel rounds twice, which
-/// would break the bitwise pin).
-///
-/// # Safety
-///
-/// The caller must have verified AVX2 support at runtime.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn axpy_avx2(out: &mut [f32], b: &[f32], a: f32) {
-    use std::arch::x86_64::{
-        _mm256_add_ps, _mm256_loadu_ps, _mm256_mul_ps, _mm256_set1_ps, _mm256_storeu_ps,
-    };
-    let n = out.len().min(b.len());
-    let chunks = n / LANES;
-    let av = _mm256_set1_ps(a);
-    for c in 0..chunks {
-        let i = c * LANES;
-        // SAFETY: i + LANES <= n bounds both slices.
-        let ov = _mm256_loadu_ps(out.as_ptr().add(i));
-        let bv = _mm256_loadu_ps(b.as_ptr().add(i));
-        let prod = _mm256_mul_ps(av, bv);
-        _mm256_storeu_ps(out.as_mut_ptr().add(i), _mm256_add_ps(ov, prod));
-    }
-    for i in chunks * LANES..n {
-        out[i] += a * b[i];
-    }
-}
+/// The `A` rows one tile reads. Rows past the end of the panel repeat a
+/// real row, so the tile always computes [`TILE_ROWS`] rows; only the
+/// first `live` are stored.
+type TileRows<'a> = [&'a [f32]; TILE_ROWS];
 
 /// Computes rows `row0..` of `a · b` into `panel` (`panel.len()` must be
 /// a multiple of `b.cols()`). Shared by the serial entry points and the
@@ -164,39 +123,28 @@ pub(crate) fn matmul_panel(
                 }
             }
         }
-        KernelPolicy::Simd => {
-            // jt → kt → i → k → j tiling: for any fixed output element
-            // (i, j) the k-tiles arrive in ascending order and k ascends
-            // within each tile, so the per-element term order is exactly
-            // the scalar one.
-            let rows = panel.len() / n;
-            for jt in (0..n).step_by(NC) {
-                let jt_end = (jt + NC).min(n);
-                for kt in (0..k).step_by(KC) {
-                    let kt_end = (kt + KC).min(k);
-                    for local_r in 0..rows {
-                        let a_row = a.row(row0 + local_r);
-                        let out_row = &mut panel[local_r * n + jt..local_r * n + jt_end];
-                        for (p, &a_ip) in a_row.iter().enumerate().take(kt_end).skip(kt) {
-                            if a_ip == 0.0 {
-                                continue;
-                            }
-                            axpy_lanes(out_row, &b.row(p)[jt..jt_end], a_ip);
-                        }
-                    }
-                }
-            }
-        }
+        KernelPolicy::Simd => tiled_panel::<true>(a, b.as_slice(), n, row0, panel),
     }
 }
 
+/// The operand [`matmul_tb_panel`] reads for `a · bᵀ`: `bᵀ` when the
+/// product runs on the tile, `None` when it takes the scalar reference
+/// or the narrow dot path. Computed once per product, so the parallel
+/// row panels share one transposed copy.
+pub(crate) fn transpose_for_tiles(policy: KernelPolicy, a: &Matrix, b: &Matrix) -> Option<Matrix> {
+    let tiled = policy == KernelPolicy::Simd && b.rows() >= TILE_COLS && a.rows() >= TILE_ROWS;
+    tiled.then(|| b.transpose())
+}
+
 /// Computes rows `row0..` of `a · bᵀ` into `panel` (`panel.len()` must
-/// be a multiple of `b.rows()`). Shared by the serial entry points and
-/// the `par_matmul_transpose_b` row-panel tasks.
+/// be a multiple of `b.rows()`). `bt` is what [`transpose_for_tiles`]
+/// returned for the same operands. Shared by the serial entry points
+/// and the `par_matmul_transpose_b` row-panel tasks.
 pub(crate) fn matmul_tb_panel(
     policy: KernelPolicy,
     a: &Matrix,
     b: &Matrix,
+    bt: Option<&Matrix>,
     row0: usize,
     panel: &mut [f32],
 ) {
@@ -204,22 +152,18 @@ pub(crate) fn matmul_tb_panel(
     if n == 0 {
         return;
     }
-    match policy {
-        KernelPolicy::Scalar => {
+    match (policy, bt) {
+        (KernelPolicy::Scalar, _) => {
             for (local_r, out_row) in panel.chunks_mut(n).enumerate() {
                 let a_row = a.row(row0 + local_r);
                 // The reference per-(i, j) sequential-k dot product.
                 for (j, o) in out_row.iter_mut().enumerate().take(n) {
-                    let b_row = b.row(j);
-                    let mut acc = 0.0f32;
-                    for (x, y) in a_row.iter().zip(b_row) {
-                        acc += x * y;
-                    }
-                    *o = acc;
+                    *o = Matrix::dot(a_row, b.row(j));
                 }
             }
         }
-        KernelPolicy::Simd => {
+        (KernelPolicy::Simd, Some(bt)) => tiled_panel::<false>(a, bt.as_slice(), n, row0, panel),
+        (KernelPolicy::Simd, None) => {
             // A dot product must stay sequential to keep its bits, so
             // the lane parallelism comes from four *independent* output
             // columns in flight per pass (instruction-level
@@ -243,15 +187,174 @@ pub(crate) fn matmul_tb_panel(
                     j += 4;
                 }
                 for (o, jj) in out_row[j..].iter_mut().zip(j..n) {
-                    let b_row = b.row(jj);
-                    let mut acc = 0.0f32;
-                    for (x, y) in a_row.iter().zip(b_row) {
-                        acc += x * y;
-                    }
-                    *o = acc;
+                    *o = Matrix::dot(a_row, b.row(jj));
                 }
             }
         }
+    }
+}
+
+/// Computes rows `row0..` of `a · b` into `panel` on the register tile,
+/// where `b` is the row-major `a.cols() × n` right operand. `SKIP`
+/// selects `matmul`'s zero-skip.
+fn tiled_panel<const SKIP: bool>(a: &Matrix, b: &[f32], n: usize, row0: usize, panel: &mut [f32]) {
+    let k = a.cols();
+    let rows = panel.len() / n;
+    #[cfg(target_arch = "x86_64")]
+    let avx2 = is_x86_feature_detected!("avx2");
+    for i in (0..rows).step_by(TILE_ROWS) {
+        let live = (rows - i).min(TILE_ROWS);
+        let a_rows: TileRows<'_> = std::array::from_fn(|r| a.row(row0 + i + r.min(live - 1)));
+        let out = &mut panel[i * n..(i + live) * n];
+        for j0 in (0..n).step_by(TILE_COLS) {
+            let width = (n - j0).min(TILE_COLS);
+            #[cfg(target_arch = "x86_64")]
+            if avx2 {
+                // SAFETY: AVX2 support was verified at runtime above.
+                unsafe {
+                    if width == TILE_COLS {
+                        tile_avx2::<SKIP, false>(a_rows, k, b, n, j0, width, out, live);
+                    } else {
+                        tile_avx2::<SKIP, true>(a_rows, k, b, n, j0, width, out, live);
+                    }
+                }
+                continue;
+            }
+            tile_portable::<SKIP>(a_rows, k, b, n, j0, width, out, live);
+        }
+    }
+}
+
+/// One tile, portable: the lane-array twin of [`tile_avx2`], with the
+/// same mul-then-add per lane. Writes `out[r·n + j0 ..][..width]` for
+/// the first `live` rows; `b` is row-major with `n` columns.
+#[allow(clippy::too_many_arguments)]
+fn tile_portable<const SKIP: bool>(
+    a_rows: TileRows<'_>,
+    k: usize,
+    b: &[f32],
+    n: usize,
+    j0: usize,
+    width: usize,
+    out: &mut [f32],
+    live: usize,
+) {
+    let mut acc = [[0.0f32; TILE_COLS]; TILE_ROWS];
+    let mut b_p = [0.0f32; TILE_COLS];
+    for p in 0..k {
+        b_p[..width].copy_from_slice(&b[p * n + j0..p * n + j0 + width]);
+        for (acc_r, a_row) in acc.iter_mut().zip(a_rows) {
+            let x = a_row[p];
+            if SKIP && x == 0.0 {
+                continue;
+            }
+            for (o, &y) in acc_r.iter_mut().zip(&b_p) {
+                *o += x * y;
+            }
+        }
+    }
+    for (r, acc_r) in acc.iter().enumerate().take(live) {
+        out[r * n + j0..r * n + j0 + width].copy_from_slice(&acc_r[..width]);
+    }
+}
+
+/// One tile on AVX2: `vmulps` + `vaddps` (never FMA — a fused
+/// multiply-add rounds once where the scalar kernel rounds twice, which
+/// would break the bitwise pin). `MASKED` tiles (`width < TILE_COLS`)
+/// load and store through a lane mask; arguments as [`tile_portable`].
+///
+/// # Safety
+///
+/// The caller must have verified AVX2 support at runtime.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+#[allow(clippy::too_many_arguments)]
+unsafe fn tile_avx2<const SKIP: bool, const MASKED: bool>(
+    a_rows: TileRows<'_>,
+    k: usize,
+    b: &[f32],
+    n: usize,
+    j0: usize,
+    width: usize,
+    out: &mut [f32],
+    live: usize,
+) {
+    use std::arch::x86_64::{
+        _mm256_add_ps, _mm256_cmpgt_epi32, _mm256_mul_ps, _mm256_set1_epi32, _mm256_set1_ps,
+        _mm256_setr_epi32, _mm256_setzero_ps,
+    };
+    assert!((1..=TILE_COLS).contains(&width) && j0 + width <= n);
+    assert!(b.len() >= k * n && out.len() >= live * n && a_rows.iter().all(|r| r.len() >= k));
+    // Lane l of half h is live when 8h + l < width.
+    let lane = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
+    let mask = [
+        _mm256_cmpgt_epi32(_mm256_set1_epi32(width as i32), lane),
+        _mm256_cmpgt_epi32(_mm256_set1_epi32(width as i32 - LANES as i32), lane),
+    ];
+    let mut acc = [[_mm256_setzero_ps(); 2]; TILE_ROWS];
+    let a_ptr = a_rows.map(<[f32]>::as_ptr);
+    for p in 0..k {
+        let b_ptr = b.as_ptr().wrapping_add(p * n + j0);
+        // SAFETY: the live lanes of row `p` lie inside `b` (asserted).
+        let b_p =
+            [load::<MASKED>(b_ptr, mask[0]), load::<MASKED>(b_ptr.wrapping_add(LANES), mask[1])];
+        for (acc_r, &a_row) in acc.iter_mut().zip(&a_ptr) {
+            // SAFETY: every tile row holds at least `k` elements.
+            let x = *a_row.add(p);
+            if SKIP && x == 0.0 {
+                continue;
+            }
+            let xv = _mm256_set1_ps(x);
+            acc_r[0] = _mm256_add_ps(acc_r[0], _mm256_mul_ps(xv, b_p[0]));
+            acc_r[1] = _mm256_add_ps(acc_r[1], _mm256_mul_ps(xv, b_p[1]));
+        }
+    }
+    for (r, acc_r) in acc.iter().enumerate().take(live) {
+        let o_ptr = out.as_mut_ptr().wrapping_add(r * n + j0);
+        // SAFETY: the live lanes of output row `r` lie inside `out`.
+        store::<MASKED>(o_ptr, mask[0], acc_r[0]);
+        store::<MASKED>(o_ptr.wrapping_add(LANES), mask[1], acc_r[1]);
+    }
+}
+
+/// Loads eight lanes from `ptr`, or only those `mask` selects.
+///
+/// # Safety
+///
+/// AVX2 must be available, and every lane read must lie in bounds.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+#[inline]
+unsafe fn load<const MASKED: bool>(
+    ptr: *const f32,
+    mask: std::arch::x86_64::__m256i,
+) -> std::arch::x86_64::__m256 {
+    use std::arch::x86_64::{_mm256_loadu_ps, _mm256_maskload_ps};
+    if MASKED {
+        _mm256_maskload_ps(ptr, mask)
+    } else {
+        _mm256_loadu_ps(ptr)
+    }
+}
+
+/// Stores eight lanes to `ptr`, or only those `mask` selects.
+///
+/// # Safety
+///
+/// AVX2 must be available, and every lane written must lie in bounds.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+#[inline]
+unsafe fn store<const MASKED: bool>(
+    ptr: *mut f32,
+    mask: std::arch::x86_64::__m256i,
+    v: std::arch::x86_64::__m256,
+) {
+    use std::arch::x86_64::{_mm256_maskstore_ps, _mm256_storeu_ps};
+    if MASKED {
+        _mm256_maskstore_ps(ptr, mask, v);
+    } else {
+        _mm256_storeu_ps(ptr, v);
     }
 }
 
@@ -266,20 +369,100 @@ mod tests {
         assert_eq!(KernelPolicy::Scalar.label(), "scalar");
     }
 
-    #[test]
-    fn axpy_lanes_matches_scalar_axpy() {
-        for len in [0usize, 1, 7, 8, 9, 16, 31] {
-            let b: Vec<f32> = (0..len).map(|i| (i as f32).sin()).collect();
-            let mut lanes: Vec<f32> = (0..len).map(|i| (i as f32) * 0.25 - 1.0).collect();
-            let mut portable = lanes.clone();
-            let mut scalar = lanes.clone();
-            axpy_lanes(&mut lanes, &b, 1.5);
-            axpy_portable(&mut portable, &b, 1.5);
-            for (o, &x) in scalar.iter_mut().zip(&b) {
-                *o += 1.5 * x;
+    /// The scalar loop one tile must reproduce: rows `0..live` of
+    /// `a · b` over columns `j0..j0 + width`, zero-skip when `skip`.
+    fn scalar_tile(
+        a: &[Vec<f32>],
+        b: &[f32],
+        n: usize,
+        j0: usize,
+        width: usize,
+        skip: bool,
+    ) -> Vec<f32> {
+        let mut out = vec![0.0f32; a.len() * n];
+        for (r, a_row) in a.iter().enumerate() {
+            for (p, &x) in a_row.iter().enumerate() {
+                if skip && x == 0.0 {
+                    continue;
+                }
+                for j in j0..j0 + width {
+                    out[r * n + j] += x * b[p * n + j];
+                }
             }
-            assert_eq!(lanes, scalar, "len={len}");
-            assert_eq!(portable, scalar, "len={len}");
+        }
+        out
+    }
+
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|x| if x.is_nan() { f32::NAN.to_bits() } else { x.to_bits() }).collect()
+    }
+
+    #[test]
+    fn tiles_match_the_scalar_loop_on_tail_shapes() {
+        let special = [0.0, -0.0, f32::INFINITY, f32::NEG_INFINITY, f32::NAN];
+        let mut state = 0x2545_f491_u32;
+        let mut next = move || {
+            state = state.wrapping_mul(1_664_525).wrapping_add(1_013_904_223);
+            match state >> 27 {
+                v @ 0..=4 => special[v as usize],
+                _ => (state >> 8) as f32 / (1u32 << 24) as f32 - 0.5,
+            }
+        };
+        for live in 1..=TILE_ROWS {
+            for k in [0usize, 1, 5, 33] {
+                for (n, j0, width) in
+                    [(16, 0, 16), (19, 16, 3), (40, 16, 16), (40, 32, 8), (7, 0, 7), (1, 0, 1)]
+                {
+                    let a: Vec<Vec<f32>> =
+                        (0..live).map(|_| (0..k).map(|_| next()).collect()).collect();
+                    let b: Vec<f32> = (0..k * n).map(|_| next()).collect();
+                    let a_rows: TileRows<'_> =
+                        std::array::from_fn(|r| a[r.min(live - 1)].as_slice());
+                    for skip in [false, true] {
+                        let want = scalar_tile(&a, &b, n, j0, width, skip);
+                        let mut portable = vec![0.0f32; live * n];
+                        if skip {
+                            tile_portable::<true>(a_rows, k, &b, n, j0, width, &mut portable, live);
+                        } else {
+                            tile_portable::<false>(
+                                a_rows,
+                                k,
+                                &b,
+                                n,
+                                j0,
+                                width,
+                                &mut portable,
+                                live,
+                            );
+                        }
+                        let label =
+                            format!("live={live} k={k} n={n} j0={j0} width={width} skip={skip}");
+                        assert_eq!(bits(&portable), bits(&want), "portable {label}");
+                        #[cfg(target_arch = "x86_64")]
+                        if is_x86_feature_detected!("avx2") {
+                            let mut avx2 = vec![0.0f32; live * n];
+                            // SAFETY: AVX2 support was just verified.
+                            unsafe {
+                                match (skip, width == TILE_COLS) {
+                                    (true, true) => tile_avx2::<true, false>(
+                                        a_rows, k, &b, n, j0, width, &mut avx2, live,
+                                    ),
+                                    (true, false) => tile_avx2::<true, true>(
+                                        a_rows, k, &b, n, j0, width, &mut avx2, live,
+                                    ),
+                                    (false, true) => tile_avx2::<false, false>(
+                                        a_rows, k, &b, n, j0, width, &mut avx2, live,
+                                    ),
+                                    (false, false) => tile_avx2::<false, true>(
+                                        a_rows, k, &b, n, j0, width, &mut avx2, live,
+                                    ),
+                                }
+                            }
+                            assert_eq!(bits(&avx2), bits(&want), "avx2 {label}");
+                        }
+                    }
+                }
+            }
         }
     }
 }

@@ -11,8 +11,9 @@
 //! random initialisation and the scalar statistics helpers used by the
 //! benchmark harness. The `par_matmul` family runs the same kernels over
 //! row panels on a work-stealing pool with bitwise-identical results,
-//! and the hot inner loops run cache-blocked SIMD kernels pinned bitwise
-//! to the scalar reference that [`KernelPolicy::Scalar`] keeps reachable.
+//! and both f32 products run one register-tiled SIMD microkernel pinned
+//! bitwise to the scalar reference that [`KernelPolicy::Scalar`] keeps
+//! reachable.
 //!
 //! # Example
 //!

@@ -1,6 +1,6 @@
 //! Matrix arithmetic: products, transposes, element-wise combination.
 
-use crate::kernels::{matmul_panel, matmul_tb_panel};
+use crate::kernels::{matmul_panel, matmul_tb_panel, transpose_for_tiles};
 use crate::{KernelPolicy, Matrix};
 
 impl Matrix {
@@ -75,7 +75,8 @@ impl Matrix {
             other.cols()
         );
         let mut out = Matrix::zeros(self.rows(), other.rows());
-        matmul_tb_panel(policy, self, other, 0, out.as_mut_slice());
+        let bt = transpose_for_tiles(policy, self, other);
+        matmul_tb_panel(policy, self, other, bt.as_ref(), 0, out.as_mut_slice());
         out
     }
 
@@ -119,14 +120,18 @@ impl Matrix {
         }
     }
 
-    /// Dot product of two equal-length slices.
+    /// Dot product of two equal-length slices: `0.0 + a[0]·b[0] + …` in
+    /// ascending order, bitwise equal to one element of
+    /// [`Matrix::matmul_transpose_b`]. The sum starts from `+0.0` (not
+    /// `Iterator::sum`'s `-0.0`), so an empty dot or one whose terms are
+    /// all `-0.0` is `+0.0`, as it is there.
     ///
     /// # Panics
     ///
     /// Panics if the slices have different lengths.
     pub fn dot(a: &[f32], b: &[f32]) -> f32 {
         assert_eq!(a.len(), b.len(), "dot length mismatch: {} vs {}", a.len(), b.len());
-        a.iter().zip(b).map(|(x, y)| x * y).sum()
+        a.iter().zip(b).fold(0.0, |acc, (x, y)| acc + x * y)
     }
 
     fn zip_with(&self, other: &Matrix, f: impl Fn(f32, f32) -> f32, op: &str) -> Matrix {
@@ -212,6 +217,17 @@ mod tests {
     #[test]
     fn dot_of_orthogonal_vectors_is_zero() {
         assert_eq!(Matrix::dot(&[1.0, 0.0], &[0.0, 5.0]), 0.0);
+    }
+
+    #[test]
+    fn dot_zero_sign_matches_matmul_transpose_b() {
+        for (a, b) in [(&[1.0f32, -2.0][..], &[-0.0f32, 0.0][..]), (&[], &[])] {
+            let d = Matrix::dot(a, b);
+            assert_eq!(d.to_bits(), 0.0f32.to_bits(), "dot({a:?}, {b:?}) = {d:?}");
+            let ma = Matrix::from_vec(1, a.len(), a.to_vec());
+            let mb = Matrix::from_vec(1, b.len(), b.to_vec());
+            assert_eq!(ma.matmul_transpose_b(&mb)[(0, 0)].to_bits(), d.to_bits());
+        }
     }
 
     #[test]

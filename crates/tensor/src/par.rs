@@ -13,7 +13,7 @@
 
 use cta_parallel::{Parallelism, ThreadPool};
 
-use crate::kernels::{matmul_panel, matmul_tb_panel};
+use crate::kernels::{matmul_panel, matmul_tb_panel, transpose_for_tiles};
 use crate::{KernelPolicy, Matrix};
 
 /// Rows below which a product is not worth spawning workers for: one
@@ -91,9 +91,11 @@ impl Matrix {
             return out;
         }
         let policy = KernelPolicy::current();
+        // One transposed copy shared by every panel.
+        let bt = transpose_for_tiles(policy, self, other);
         ThreadPool::new(par).par_chunks_mut(out.as_mut_slice(), rows_per_panel * n, |pi, panel| {
             // Same dot-product accumulation order as the serial kernel.
-            matmul_tb_panel(policy, self, other, pi * rows_per_panel, panel);
+            matmul_tb_panel(policy, self, other, bt.as_ref(), pi * rows_per_panel, panel);
         });
         out
     }
