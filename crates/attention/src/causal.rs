@@ -93,6 +93,18 @@ pub struct CausalCtaAttention {
 
 /// Runs blocked-causal CTA self-attention.
 ///
+/// The loop is block-tiled. K̄ and V̄ (the projected centroids of the
+/// compressed past) live for the whole forward; at each block only the
+/// centroids the previous block's pushes touched are re-projected, and
+/// each block then runs one scores product and one output product over
+/// `[K̄; K_block]` and `[V̄; V_block]`. Every product element adds its
+/// terms from `+0.0` in the order the per-query reference loop does
+/// (centroids, then in-block tokens up to the query), so the result is
+/// that loop's bit for bit on finite inputs. The one difference: the
+/// output product skips an exactly-zero weight (masked or underflowed),
+/// so a non-finite value row may differ from the per-query loop only
+/// where its weight is exactly 0 (the loop would add `0·inf = NaN`).
+///
 /// # Panics
 ///
 /// Panics if `tokens` is empty, dimensions mismatch, or `block == 0`.
@@ -120,63 +132,96 @@ pub fn cta_forward_causal(
     let mut score_evals = 0u64;
     let mut final_centroids = 0usize;
 
+    // `[K̄; K_block]` and `[V̄; V_block]`, flattened: the first `k̄` rows
+    // persist across blocks, the block's own rows are replaced per block.
+    let mut keys: Vec<f32> = Vec::new();
+    let mut values: Vec<f32> = Vec::new();
+    // Clusters the previous block's pushes touched (new ones included).
+    let mut dirty: Vec<usize> = Vec::new();
+    // The block's `b × (k̄ + b)` softmax weights, zero past each causal prefix.
+    let mut probs: Vec<f32> = Vec::new();
+
     let mut block_start = 0usize;
     while block_start < n {
         let block_end = (block_start + config.block).min(n);
+        let b = block_end - block_start;
+        let view = past.as_compression();
+        let centroids = view.k();
+        final_centroids = centroids;
 
-        // Compressed view of the past: centroids in token space, projected
-        // once per block (the amortised analogue of the CTA linears).
-        let (k_bar, v_bar, counts) = if past.is_empty() {
-            (Matrix::zeros(0, d), Matrix::zeros(0, d), Vec::new())
-        } else {
-            // Borrowing view: O(k) per block instead of cloning the full
-            // snapshot (whose cluster table grows with the prefix).
-            let view = past.as_compression();
-            let cents = Matrix::from_vec(view.k(), view.dim(), view.centroids_flat().to_vec());
-            (cents.matmul(weights.wk()), cents.matmul(weights.wv()), view.counts().to_vec())
-        };
-        final_centroids = k_bar.rows();
-
-        for i in block_start..block_end {
-            let qrow = q.row(i);
-            // Scores vs past centroids (population-weighted) and exact
-            // scores vs in-block past tokens.
-            let mut terms: Vec<(f32, f32, usize, bool)> = Vec::new(); // (score, weight_count, idx, is_centroid)
-            let mut max = f32::NEG_INFINITY;
-            for (c, &cnt) in counts.iter().enumerate().take(k_bar.rows()) {
-                let s = Matrix::dot(qrow, k_bar.row(c)) * scale;
-                max = max.max(s);
-                terms.push((s, cnt as f32, c, true));
-                score_evals += 1;
+        // Only a touched cluster's centroid moved, so only its row of
+        // `C·Wk` / `C·Wv` changes. Matmul rows are independent (each
+        // element sums from +0.0 in ascending order), so a gathered row
+        // has the bits it would have in the full product. Resizing drops
+        // the previous block's own rows; any row that leaves in place or
+        // adds belongs to a new cluster, which is dirty.
+        keys.resize(centroids * d, 0.0);
+        values.resize(centroids * d, 0.0);
+        if !dirty.is_empty() {
+            dirty.sort_unstable();
+            dirty.dedup();
+            let mut rows = Vec::with_capacity(dirty.len() * view.dim());
+            for &c in &dirty {
+                rows.extend_from_slice(view.centroid(c));
             }
-            for j in block_start..=i {
-                let s = Matrix::dot(qrow, k.row(j)) * scale;
+            let cents = Matrix::from_vec(dirty.len(), view.dim(), rows);
+            let (k_dirty, v_dirty) = (cents.matmul(weights.wk()), cents.matmul(weights.wv()));
+            for (i, &c) in dirty.iter().enumerate() {
+                keys[c * d..(c + 1) * d].copy_from_slice(k_dirty.row(i));
+                values[c * d..(c + 1) * d].copy_from_slice(v_dirty.row(i));
+            }
+            dirty.clear();
+        }
+        keys.extend_from_slice(&k.as_slice()[block_start * d..block_end * d]);
+        values.extend_from_slice(&v.as_slice()[block_start * d..block_end * d]);
+        let m = centroids + b;
+
+        // One `m × b` scores product: element (t, r) is `dot(key_t, q_r)`,
+        // which is `Matrix::dot(q_r, key_t)` exactly (`x·y == y·x` in
+        // IEEE). This orientation transposes only the block's queries.
+        let key_mat = Matrix::from_vec(m, d, std::mem::take(&mut keys));
+        let scores = key_mat.matmul_transpose_b(&q.slice_rows(block_start, block_end));
+        keys = key_mat.into_vec();
+        let scores = scores.as_slice();
+
+        // Query r sees every centroid and the block's tokens 0..=r.
+        let counts = view.counts();
+        probs.clear();
+        probs.resize(b * m, 0.0);
+        for (r, row) in probs.chunks_mut(m).enumerate() {
+            let row = &mut row[..centroids + r + 1];
+            let mut max = f32::NEG_INFINITY;
+            for (t, p) in row.iter_mut().enumerate() {
+                let s = scores[t * b + r] * scale;
                 max = max.max(s);
-                terms.push((s, 1.0, j, false));
-                score_evals += 1;
+                *p = s;
             }
             let mut den = 0.0f32;
-            let exps: Vec<f32> = terms
-                .iter()
-                .map(|&(s, cnt, _, _)| {
-                    let w = cnt * (s - max).exp();
-                    den += w;
-                    w
-                })
-                .collect();
-            let out = output.row_mut(i);
-            for (t, &(_, _, idx, is_centroid)) in terms.iter().enumerate() {
-                let w = exps[t] / den;
-                let src = if is_centroid { v_bar.row(idx) } else { v.row(idx) };
-                for (o, &vv) in out.iter_mut().zip(src) {
-                    *o += w * vv;
-                }
+            for (t, p) in row.iter_mut().enumerate() {
+                let cnt = if t < centroids { counts[t] as f32 } else { 1.0 };
+                *p = cnt * (*p - max).exp();
+                den += *p;
             }
+            for p in row.iter_mut() {
+                *p /= den;
+            }
+            score_evals += row.len() as u64;
         }
+
+        // One `b × d` output product: it adds `w·v` in ascending t from
+        // +0.0 with mul then add, as the per-query loop did; its zero-skip
+        // drops the masked entries, and an underflowed `w == 0` only ever
+        // added a ±0 to an accumulator that cannot be −0.0.
+        let prob_mat = Matrix::from_vec(b, m, std::mem::take(&mut probs));
+        let value_mat = Matrix::from_vec(m, d, std::mem::take(&mut values));
+        let block_out = prob_mat.matmul(&value_mat);
+        output.as_mut_slice()[block_start * d..block_end * d].copy_from_slice(block_out.as_slice());
+        probs = prob_mat.into_vec();
+        values = value_mat.into_vec();
 
         // The finished block joins the compressed past.
         for t in block_start..block_end {
-            past.push(tokens.row(t));
+            dirty.push(past.push(tokens.row(t)));
         }
         block_start = block_end;
     }

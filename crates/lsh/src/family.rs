@@ -133,8 +133,21 @@ impl LshFamily {
     ///
     /// Panics if `x.len() != self.dim()`.
     pub fn hash_code(&self, x: &[f32]) -> Vec<i32> {
+        let mut code = Vec::with_capacity(self.hash_length());
+        self.hash_code_into(x, &mut code);
+        code
+    }
+
+    /// [`Self::hash_code`] into a caller-owned buffer (cleared first), so
+    /// a per-token caller reuses one allocation.
+    ///
+    /// # Panics
+    ///
+    /// As [`Self::hash_code`].
+    pub(crate) fn hash_code_into(&self, x: &[f32], code: &mut Vec<i32>) {
         assert_eq!(x.len(), self.dim(), "vector dimension mismatch: {} vs {}", x.len(), self.dim());
-        (0..self.hash_length()).map(|i| self.hash_value(i, x)).collect()
+        code.clear();
+        code.extend((0..self.hash_length()).map(|i| self.hash_value(i, x)));
     }
 
     /// The `i`-th component of the hash code: `floor((⟨aᵢ,x⟩ + bᵢ)/w)`.

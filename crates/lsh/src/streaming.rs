@@ -131,6 +131,8 @@ struct ResidualLevel {
     reclusters: usize,
     /// Token count at the last re-cluster.
     reclustered_at: usize,
+    /// Scratch row for the residual being streamed, reused per token.
+    residual_row: Vec<f32>,
 }
 
 /// An incrementally maintained compression: one-level by default
@@ -168,6 +170,8 @@ pub struct StreamingCompressor {
     centroids: Vec<f32>,
     /// Level-2 residual state, present in two-level mode.
     residual: Option<Box<ResidualLevel>>,
+    /// Scratch hash code of the token being pushed, reused per token.
+    code: Vec<i32>,
 }
 
 impl StreamingCompressor {
@@ -182,6 +186,7 @@ impl StreamingCompressor {
             assignments: Vec::new(),
             centroids: Vec::new(),
             residual: None,
+            code: Vec::with_capacity(l),
         }
     }
 
@@ -211,6 +216,7 @@ impl StreamingCompressor {
             threshold: recluster_threshold,
             reclusters: 0,
             reclustered_at: 0,
+            residual_row: Vec::new(),
         }));
         s
     }
@@ -239,14 +245,17 @@ impl StreamingCompressor {
     /// hash values, one tree walk, one `d`-wide sum update — twice that
     /// plus a `d`-wide subtraction in two-level mode. May trigger a
     /// re-cluster (O(n·(l + d)) against the retained buffer) when the
-    /// drift estimate crosses the threshold.
+    /// drift estimate crosses the threshold. The hash code and the
+    /// residual go through scratch buffers the compressor owns, so a push
+    /// allocates only to grow its state (a new cluster, tree node or
+    /// retained token).
     ///
     /// # Panics
     ///
     /// Panics if `token.len() != family.dim()`.
     pub fn push(&mut self, token: &[f32]) -> usize {
-        let code = self.family.hash_code(token);
-        let cluster = self.tree.assign(&code);
+        self.family.hash_code_into(token, &mut self.code);
+        let cluster = self.tree.assign(&self.code);
         let d = self.family.dim();
         if cluster == self.counts.len() {
             self.counts.push(0);
@@ -279,8 +288,9 @@ impl StreamingCompressor {
             res.token_norm += token.iter().map(|&x| (x as f64) * (x as f64)).sum::<f64>().sqrt();
             res.tokens.extend_from_slice(token);
             let base = &self.centroids[cluster * d..(cluster + 1) * d];
-            let residual_row: Vec<f32> = token.iter().zip(base).map(|(&x, &c)| x - c).collect();
-            res.stream.push(&residual_row);
+            res.residual_row.clear();
+            res.residual_row.extend(token.iter().zip(base).map(|(&x, &c)| x - c));
+            res.stream.push(&res.residual_row);
             if self.drift() > self.recluster_threshold() {
                 self.recluster();
             }
@@ -330,8 +340,9 @@ impl StreamingCompressor {
         for (i, &cluster) in self.assignments.iter().enumerate() {
             let token = &res.tokens[i * d..(i + 1) * d];
             let base = &self.centroids[cluster * d..(cluster + 1) * d];
-            let residual_row: Vec<f32> = token.iter().zip(base).map(|(&x, &c)| x - c).collect();
-            fresh.push(&residual_row);
+            res.residual_row.clear();
+            res.residual_row.extend(token.iter().zip(base).map(|(&x, &c)| x - c));
+            fresh.push(&res.residual_row);
         }
         res.stream = fresh;
         res.drift_abs = 0.0;

@@ -82,7 +82,15 @@ impl Matrix {
 
     /// The transpose of `self`.
     pub fn transpose(&self) -> Matrix {
-        Matrix::from_fn(self.cols(), self.rows(), |r, c| self[(c, r)])
+        let (rows, cols) = self.shape();
+        let mut data = vec![0.0; rows * cols];
+        // Source row r becomes column r: element (r, c) lands at c·rows + r.
+        for (r, src) in self.rows_iter().enumerate() {
+            for (dst, &x) in data[r..].iter_mut().step_by(rows).zip(src) {
+                *dst = x;
+            }
+        }
+        Matrix::from_vec(cols, rows, data)
     }
 
     /// Element-wise sum `self + other`.
@@ -183,6 +191,20 @@ mod tests {
         let (a, b) = sample();
         let bt = b.transpose();
         assert!(a.matmul(&b).approx_eq(&a.matmul_transpose_b(&bt), 1e-6));
+    }
+
+    #[test]
+    fn transpose_moves_every_element() {
+        let a = Matrix::from_fn(5, 3, |r, c| (10 * r + c) as f32);
+        let t = a.transpose();
+        assert_eq!(t.shape(), (3, 5));
+        for r in 0..5 {
+            for c in 0..3 {
+                assert_eq!(t[(c, r)], a[(r, c)]);
+            }
+        }
+        assert_eq!(Matrix::zeros(0, 4).transpose().shape(), (4, 0));
+        assert_eq!(Matrix::zeros(4, 0).transpose().shape(), (0, 4));
     }
 
     #[test]
